@@ -61,23 +61,24 @@ metrics-check:
 		-run 'TestMetricsDeterministicAcrossParallelism|TestMetricsInvariantAcrossShards|TestMetricsFileIsDeterministic'
 
 # The flight-recorder suite: -trace-out must yield a Perfetto-loadable
-# trace_event stream covering every pipeline layer, the demux flow arrows
-# must pair up, and recording must be a pure observer — fig5's stdout stays
-# byte-identical to the golden across -j × -shards × -fused with the
-# recorder on.
+# trace_event stream covering every pipeline layer, and recording must be a
+# pure observer — fig5's stdout stays byte-identical to the golden across
+# -j × -shards with the recorder on.
 trace-check:
 	$(GO) test ./cmd/uselessmiss -count=1 \
-		-run 'TestTraceOutPerfettoValid|TestTraceOutFlowEvents|TestTraceOutGoldenMatrix'
+		-run 'TestTraceOutPerfettoValid|TestTraceOutGoldenMatrix'
 
 # The failure-model suite under the race detector: the fault injectors
-# (internal/fault) against every -j × -shards combination, plus the
-# cancellation race and codec corruption tests — typed errors must
-# propagate, nothing may deadlock or leak, and partial output must never
-# pass as complete.
+# (internal/fault) against every -j × -shards combination, the sharded
+# runner's cancellation race, sibling-cancel, error-priority and leak
+# tests, plus the codec corruption tests — typed errors must propagate,
+# nothing may deadlock or leak, and partial output must never pass as
+# complete.
 faults:
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -count=1 ./internal/trace \
 		-run 'TestCancelMidReplayRace|TestStallDrainsOnCancel|TestCorrupt|TestV1Stream|TestDriveContextAllocs'
+	$(GO) test -race -count=1 ./internal/core -run 'TestRunShardedOpen'
 	$(GO) test -race -count=1 ./cmd/uselessmiss \
 		-run 'TestExitCode|TestTimeoutExpires|TestManifest|TestRegenResumeWithoutManifest'
 

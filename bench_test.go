@@ -11,6 +11,7 @@ package uselessmiss
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -130,15 +131,16 @@ func BenchmarkClassifierOurs(b *testing.B) {
 
 // BenchmarkShardedClassifier runs the Appendix A classification through the
 // block-sharded pipeline at several shard counts; shards=1 is the serial
-// baseline (no demux), so the subbenchmarks read as a before/after for the
-// sharded path on this host.
+// baseline (one inline reader), so the subbenchmarks read as a
+// before/after for the sharded path on this host.
 func BenchmarkShardedClassifier(b *testing.B) {
 	tr := benchTrace()
 	g := MustGeometry(64)
+	open := func(int) (Reader, error) { return tr.Reader(), nil }
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ShardedClassify(tr.Reader(), g, shards); err != nil {
+				if _, _, err := ShardedClassify(context.Background(), open, tr.Procs, g, shards); err != nil {
 					b.Fatal(err)
 				}
 			}

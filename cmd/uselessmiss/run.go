@@ -128,7 +128,6 @@ func splitInts(s string) ([]int, error) {
 // expFlags carries the flag values shared by the experiment subcommands.
 type expFlags struct {
 	quick, csv, keepGoing *bool
-	fused                 *bool
 	workloads, protocols  *string
 	traceFiles            *string
 	par, shards           *int
@@ -147,7 +146,6 @@ func experimentFlags(fs *flag.FlagSet) *expFlags {
 	ef.par = fs.Int("j", 0, "worker goroutines for the sweep grid (0 = GOMAXPROCS, 1 = serial)")
 	ef.shards = fs.Int("shards", 0, "block shards per cell (0 or 1 = serial; output is identical at any value)")
 	ef.keepGoing = fs.Bool("keep-going", false, "render a partial report with failed sweep cells marked FAILED instead of aborting (exit code 3)")
-	ef.fused = fs.Bool("fused", true, "replay each workload once per grid row, feeding all block sizes and schemes from one pass (false = one replay per cell; output is identical)")
 	ef.traceFiles = fs.String("trace-file", "", "replay workloads from packed trace files: comma-separated NAME=PATH bindings (see 'trace pack'); bound workloads stream out-of-core instead of regenerating")
 	ef.timeout = fs.Duration("timeout", 0, "abort the run after this duration, like an interrupt (0 = no limit)")
 	ef.prof = addProfileFlags(fs)
@@ -184,7 +182,6 @@ func (ef *expFlags) options(ctx context.Context, out io.Writer) (experiment.Opti
 		Shards:      *ef.shards,
 		Ctx:         ctx,
 		KeepGoing:   *ef.keepGoing,
-		NoFuse:      !*ef.fused,
 		TraceFiles:  files,
 	}, cleanup, nil
 }

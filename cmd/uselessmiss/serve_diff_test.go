@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,7 +77,9 @@ func postJob(t *testing.T, url, contentType string, body []byte) []byte {
 
 // TestServeDifferentialSpecJobs: a JSON job spec must render byte-identical
 // tables to the offline CLI across the replay configurations a spec can
-// reach — sweep parallelism, per-cell sharding and fusion.
+// reach — sweep parallelism and per-cell sharding. A spec that still asks
+// for the removed per-cell replay (no_fuse) is an unknown field and must
+// get the typed bad-request envelope.
 func TestServeDifferentialSpecJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential grid is not short")
@@ -99,13 +103,39 @@ func TestServeDifferentialSpecJobs(t *testing.T) {
 		{"defaults", `{"experiment":"fig5","workloads":["LU32"]}`},
 		{"j1_shards1", `{"experiment":"fig5","workloads":["LU32"],"parallelism":1,"shards":1}`},
 		{"j8_shards8", `{"experiment":"fig5","workloads":["LU32"],"parallelism":8,"shards":8}`},
-		{"unfused", `{"experiment":"fig5","workloads":["LU32"],"no_fuse":true}`},
-		{"unfused_j8", `{"experiment":"fig5","workloads":["LU32"],"no_fuse":true,"parallelism":8,"shards":4}`},
 	} {
 		t.Run("fig5_"+tc.name, func(t *testing.T) {
 			got := postJob(t, base+"/v1/jobs", "application/json", []byte(tc.spec))
 			if want != string(got) {
 				t.Errorf("fig5 spec %s diverges from CLI:\n--- want\n%s\n--- got\n%s", tc.name, want, got)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		spec string
+	}{
+		{"unfused", `{"experiment":"fig5","workloads":["LU32"],"no_fuse":true}`},
+		{"unfused_j8", `{"experiment":"fig5","workloads":["LU32"],"no_fuse":true,"parallelism":8,"shards":4}`},
+	} {
+		t.Run("fig5_"+tc.name, func(t *testing.T) {
+			resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader([]byte(tc.spec)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var env struct {
+				Error struct {
+					Code    string `json:"code"`
+					Message string `json:"message"`
+				} `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatalf("HTTP %d: body is not an error envelope: %v", resp.StatusCode, err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || env.Error.Code != string(serve.CodeBadRequest) ||
+				!strings.Contains(env.Error.Message, "no_fuse") {
+				t.Errorf("spec %s: HTTP %d %+v, want 400 bad_request naming no_fuse", tc.name, resp.StatusCode, env.Error)
 			}
 		})
 	}

@@ -24,7 +24,6 @@ type perfettoTrace struct {
 		Dur  float64        `json:"dur"`
 		Pid  int            `json:"pid"`
 		Tid  int            `json:"tid"`
-		ID   uint64         `json:"id"`
 		Args map[string]any `json:"args"`
 	} `json:"traceEvents"`
 }
@@ -43,7 +42,7 @@ func loadPerfetto(t *testing.T, path string) perfettoTrace {
 	return tr
 }
 
-// TestTraceOutPerfettoValid drives a sharded, fused, file-backed fig5 run
+// TestTraceOutPerfettoValid drives a sharded, file-backed fig5 run
 // with the span recorder on and checks the exported trace is a loadable
 // trace_event stream covering every pipeline layer: the experiment root,
 // the sweep cells, the shard consumers, the fused level sweeps and the
@@ -63,7 +62,6 @@ func TestTraceOutPerfettoValid(t *testing.T) {
 
 	threads := map[int]string{}
 	ops := map[string]int{}
-	flows := map[string][]uint64{}
 	for _, ev := range tr.TraceEvents {
 		switch ev.Ph {
 		case "M":
@@ -76,8 +74,6 @@ func TestTraceOutPerfettoValid(t *testing.T) {
 				t.Errorf("span %s has negative ts/dur: ts=%v dur=%v", ev.Name, ev.Ts, ev.Dur)
 			}
 			ops[ev.Name]++
-		case "s", "f":
-			flows[ev.Ph] = append(flows[ev.Ph], ev.ID)
 		default:
 			t.Errorf("unexpected event phase %q", ev.Ph)
 		}
@@ -114,38 +110,9 @@ func TestTraceOutPerfettoValid(t *testing.T) {
 	}
 }
 
-// TestTraceOutFlowEvents checks the demux-sharded (non-fused) pipeline
-// draws producer→consumer flow arrows: every flow-out id must be matched
-// by a flow-in on a shard consumer track.
-func TestTraceOutFlowEvents(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "trace.json")
-	runOut(t, "fig5", "-workloads", "JACOBI", "-blocks", "64",
-		"-j", "1", "-shards", "4", "-fused=false", "-trace-out", tracePath)
-
-	tr := loadPerfetto(t, tracePath)
-	outs, ins := map[uint64]bool{}, map[uint64]bool{}
-	for _, ev := range tr.TraceEvents {
-		switch ev.Ph {
-		case "s":
-			outs[ev.ID] = true
-		case "f":
-			ins[ev.ID] = true
-		}
-	}
-	if len(outs) == 0 {
-		t.Fatal("no flow-out events in demux-sharded trace")
-	}
-	for id := range outs {
-		if !ins[id] {
-			t.Errorf("flow id %d has an out endpoint but no in", id)
-		}
-	}
-}
-
 // TestTraceOutGoldenMatrix proves recording is an observer: with
 // -trace-out on, fig5's stdout stays byte-identical to the committed
-// golden at every combination of sweep parallelism, per-cell sharding and
-// fusion.
+// golden at every combination of sweep parallelism and per-cell sharding.
 func TestTraceOutGoldenMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix is not short")
@@ -157,21 +124,18 @@ func TestTraceOutGoldenMatrix(t *testing.T) {
 	base := []string{"fig5", "-workloads", "LU32,JACOBI", "-blocks", "8,64,512"}
 	for _, j := range []string{"1", "8"} {
 		for _, shards := range []string{"1", "8"} {
-			for _, fused := range []string{"true", "false"} {
-				name := fmt.Sprintf("j%s_shards%s_fused%s", j, shards, fused)
-				t.Run(name, func(t *testing.T) {
-					tracePath := filepath.Join(t.TempDir(), "trace.json")
-					got := runOut(t, append(append([]string{}, base...),
-						"-j", j, "-shards", shards, "-fused="+fused,
-						"-trace-out", tracePath)...)
-					if got != string(want) {
-						t.Errorf("fig5 output with -trace-out differs from golden at %s", name)
-					}
-					if st, err := os.Stat(tracePath); err != nil || st.Size() == 0 {
-						t.Errorf("trace file missing or empty at %s: %v", name, err)
-					}
-				})
-			}
+			name := fmt.Sprintf("j%s_shards%s", j, shards)
+			t.Run(name, func(t *testing.T) {
+				tracePath := filepath.Join(t.TempDir(), "trace.json")
+				got := runOut(t, append(append([]string{}, base...),
+					"-j", j, "-shards", shards, "-trace-out", tracePath)...)
+				if got != string(want) {
+					t.Errorf("fig5 output with -trace-out differs from golden at %s", name)
+				}
+				if st, err := os.Stat(tracePath); err != nil || st.Size() == 0 {
+					t.Errorf("trace file missing or empty at %s: %v", name, err)
+				}
+			})
 		}
 	}
 }

@@ -33,8 +33,8 @@ func runOut(t *testing.T, args ...string) string {
 // TestTracestoreDifferentialFig5 is the out-of-core equivalence suite for
 // the classification grid: replaying Fig. 5 from a packed trace file must
 // be byte-for-byte identical to the in-memory replay at every combination
-// of sweep parallelism, per-cell sharding and fusion. The file-backed fused
-// path opens segment-skipping shard readers, so this also proves the skip
+// of sweep parallelism and per-cell sharding. The file-backed sharded path
+// opens segment-skipping shard readers, so this also proves the skip
 // transparent end to end.
 func TestTracestoreDifferentialFig5(t *testing.T) {
 	if testing.Short() {
@@ -44,17 +44,14 @@ func TestTracestoreDifferentialFig5(t *testing.T) {
 	want := runOut(t, "fig5", "-workloads", "LU32")
 	for _, j := range []string{"1", "8"} {
 		for _, shards := range []string{"1", "8"} {
-			for _, fused := range []string{"true", "false"} {
-				name := fmt.Sprintf("j%s_shards%s_fused%s", j, shards, fused)
-				t.Run(name, func(t *testing.T) {
-					got := runOut(t, "fig5", "-workloads", "LU32",
-						"-j", j, "-shards", shards, "-fused="+fused,
-						"-trace-file", "LU32="+packed)
-					if got != want {
-						t.Errorf("file-backed fig5 diverges from in-memory at %s:\n--- want\n%s\n--- got\n%s", name, want, got)
-					}
-				})
-			}
+			name := fmt.Sprintf("j%s_shards%s", j, shards)
+			t.Run(name, func(t *testing.T) {
+				got := runOut(t, "fig5", "-workloads", "LU32",
+					"-j", j, "-shards", shards, "-trace-file", "LU32="+packed)
+				if got != want {
+					t.Errorf("file-backed fig5 diverges from in-memory at %s:\n--- want\n%s\n--- got\n%s", name, want, got)
+				}
+			})
 		}
 	}
 }
@@ -68,17 +65,14 @@ func TestTracestoreDifferentialTable1(t *testing.T) {
 	packed := packLU32(t)
 	want := runOut(t, "table1", "-quick", "-workloads", "LU32")
 	for _, shards := range []string{"1", "8"} {
-		for _, fused := range []string{"true", "false"} {
-			name := fmt.Sprintf("shards%s_fused%s", shards, fused)
-			t.Run(name, func(t *testing.T) {
-				got := runOut(t, "table1", "-quick", "-workloads", "LU32",
-					"-j", "8", "-shards", shards, "-fused="+fused,
-					"-trace-file", "LU32="+packed)
-				if got != want {
-					t.Errorf("file-backed table1 diverges from in-memory at %s:\n--- want\n%s\n--- got\n%s", name, want, got)
-				}
-			})
-		}
+		name := "shards" + shards
+		t.Run(name, func(t *testing.T) {
+			got := runOut(t, "table1", "-quick", "-workloads", "LU32",
+				"-j", "8", "-shards", shards, "-trace-file", "LU32="+packed)
+			if got != want {
+				t.Errorf("file-backed table1 diverges from in-memory at %s:\n--- want\n%s\n--- got\n%s", name, want, got)
+			}
+		})
 	}
 }
 
@@ -146,5 +140,29 @@ func TestTraceFileFlagErrors(t *testing.T) {
 		if err := run(args, &sb); err == nil {
 			t.Errorf("%v: error expected", args)
 		}
+	}
+}
+
+// TestTracestoreDifferentialFinite: the finite-cache sweep shards by cache
+// set, which is not the block residue the segment-skipping shard readers
+// are cut for, so a file-backed finite run must read full streams.
+// 16-reference segments span few enough blocks that a block-residue reader
+// would skip some of them, so any skip shows: -shards 3 (which does not
+// divide the set counts) and -shards 8 must reproduce the in-memory
+// -shards 1 replay byte for byte.
+func TestTracestoreDifferentialFinite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential grid is not short")
+	}
+	packed := packLU32(t, "-segment-refs", "16")
+	want := runOut(t, "finite", "-workloads", "LU32", "-j", "1", "-shards", "1")
+	for _, shards := range []string{"1", "3", "8"} {
+		t.Run("shards"+shards, func(t *testing.T) {
+			got := runOut(t, "finite", "-workloads", "LU32",
+				"-j", "1", "-shards", shards, "-trace-file", "LU32="+packed)
+			if got != want {
+				t.Errorf("file-backed finite at -shards %s diverges from -shards 1:\n--- want\n%s\n--- got\n%s", shards, want, got)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -22,21 +21,6 @@ import (
 // block-keyed and sync references are broadcast, so the shard-native
 // streams drive every simulator through the serial schedule restricted to
 // its blocks.
-
-// Fusible reports whether the named protocol's simulator may join a fused
-// multi-protocol pass. Every built-in schedule qualifies — the simulators
-// are all passive block-keyed consumers — but the predicate is the
-// extension point: a future protocol whose state couples to the drive loop
-// (e.g. one that rewinds or peeks the stream) returns false here and the
-// drivers fall back to per-cell replays for the whole grid row. Unknown
-// names are not fusible.
-func Fusible(name string) bool {
-	switch name {
-	case "MIN", "OTF", "RD", "SD", "SRD", "WBWI", "MAX", "WU", "CU":
-		return true
-	}
-	return false
-}
 
 // multiSim feeds one reference stream to several simulators at once.
 type multiSim struct{ sims []Simulator }
@@ -84,15 +68,10 @@ func mergeResultSlices(a, b []Result) []Result {
 // simulators from it.
 // The results are returned in protocol order and are bit-for-bit the
 // results of RunWith per protocol, for every shard count; shards <= 1 is a
-// single serial fused replay. Every protocol must satisfy Fusible.
+// single serial fused replay.
 func RunProtocolsShardedOpen(ctx context.Context, open func(shard int) (trace.Reader, error), procs int, g mem.Geometry, protos []string, shards int) ([]Result, error) {
 	if len(protos) == 0 {
 		return nil, nil
-	}
-	for _, name := range protos {
-		if !Fusible(name) {
-			return nil, fmt.Errorf("coherence: protocol %q cannot join a fused pass", name)
-		}
 	}
 	n := shards
 	if n < 1 {

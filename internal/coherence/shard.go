@@ -3,7 +3,6 @@ package coherence
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -22,38 +21,36 @@ func MergeResults(a, b Result) Result {
 	return a
 }
 
-// RunSharded replays a trace stream through the named protocol with the
-// block space partitioned across shards parallel simulators and merges the
-// per-shard Results.
+// RunShardedContext replays a trace stream through the named protocol with
+// the block space partitioned across shards parallel simulators and merges
+// the per-shard Results.
 //
 // Every simulator's state is keyed by block — the per-processor structures
 // (RD/SRD invalidation buffers, SD/SRD store buffers, MAX credit books)
-// hold per-block entries — and the demux broadcasts synchronization
-// references to every shard, so each shard replays exactly the serial
+// hold per-block entries — and every shard's stream keeps the
+// synchronization references, so each shard replays exactly the serial
 // schedule restricted to its blocks. The merged Result is identical to
-// RunWith's for every shard count; shards <= 1 is exactly RunWith.
-func RunSharded(name string, r trace.Reader, g mem.Geometry, shards int) (Result, error) {
-	return RunShardedContext(context.Background(), name, r, g, shards)
-}
-
-// RunShardedContext is RunSharded with a cancellation context; see
-// core.RunShardedContext.
+// RunWith's for every shard count; shards <= 1 streams r through one
+// simulator. With shards > 1 r is collected into memory first, so each
+// shard can read its own copy (see RunProtocolsShardedOpen); drivers that
+// can reopen their trace call RunProtocolsShardedOpen directly.
 func RunShardedContext(ctx context.Context, name string, r trace.Reader, g mem.Geometry, shards int) (Result, error) {
-	if shards < 1 {
-		shards = 1
-	}
 	procs := r.NumProcs()
-	sims := make([]Simulator, shards)
-	for i := range sims {
-		sim, err := New(name, procs, g)
+	if _, err := New(name, procs, g); err != nil {
+		trace.CloseReader(r) //nolint:errcheck // error path cleanup
+		return Result{}, err
+	}
+	open := func(int) (trace.Reader, error) { return r, nil }
+	if shards > 1 {
+		tr, err := trace.CollectContext(ctx, r)
 		if err != nil {
-			trace.CloseReader(r) //nolint:errcheck // error path cleanup
 			return Result{}, err
 		}
-		sims[i] = sim
+		open = func(int) (trace.Reader, error) { return tr.Reader(), nil }
 	}
-	return core.RunShardedContext(ctx, r, shards, trace.BlockShard(g, shards),
-		func(i int) Simulator { return sims[i] },
-		Simulator.Finish,
-		MergeResults)
+	res, err := RunProtocolsShardedOpen(ctx, open, procs, g, []string{name}, shards)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
 }

@@ -4,9 +4,10 @@ package coherence
 // block-sharded pipeline must reproduce the serial Result — misses,
 // decomposition, invalidations, upgrades, write-throughs and updates —
 // bit for bit for every schedule, including the delayed ones whose drain
-// points (acquire/release) reach every shard via the demux broadcast.
+// points (acquire/release) reach every shard's stream.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,17 @@ import (
 )
 
 var shardCounts = []int{1, 2, 3, 8, 64}
+
+// runSharded replays tr through the named protocol on n shards, each shard
+// reading its own reader over the in-memory trace.
+func runSharded(name string, tr *trace.Trace, g mem.Geometry, n int) (Result, error) {
+	open := func(int) (trace.Reader, error) { return tr.Reader(), nil }
+	res, err := RunProtocolsShardedOpen(context.Background(), open, tr.Procs, g, []string{name}, n)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
+}
 
 // shardedProtocols is every schedule the differential suite must cover:
 // the paper's seven plus the update-based extensions.
@@ -41,7 +53,7 @@ func TestShardedProtocolMatchesSerial(t *testing.T) {
 						return false
 					}
 					for _, n := range shardCounts {
-						got, err := RunSharded(name, tr.Reader(), g, n)
+						got, err := runSharded(name, tr, g, n)
 						if err != nil {
 							t.Log(err)
 							return false
@@ -65,18 +77,20 @@ func TestShardedProtocolMatchesSerial(t *testing.T) {
 // identities on MERGED results: MIN equals the essential count with no
 // false sharing, OTF's decomposition equals the Appendix-A classification,
 // and each protocol's internal miss counter matches its classified total.
+// It runs through RunShardedContext, which collects a single stream before
+// sharding it.
 func TestShardedProtocolCrossChecks(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomSyncTrace(rng, 5, 600, 40)
 		g := mem.MustGeometry(32)
 		const n = 8
-		minRes, err := RunSharded("MIN", tr.Reader(), g, n)
+		minRes, err := RunShardedContext(context.Background(), "MIN", tr.Reader(), g, n)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		otfRes, err := RunSharded("OTF", tr.Reader(), g, n)
+		otfRes, err := RunShardedContext(context.Background(), "OTF", tr.Reader(), g, n)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -102,11 +116,25 @@ func TestShardedProtocolCrossChecks(t *testing.T) {
 	}
 }
 
+// closeTracker records whether its reader was closed.
+type closeTracker struct {
+	trace.Reader
+	closed bool
+}
+
+func (c *closeTracker) Close() error {
+	c.closed = true
+	return nil
+}
+
 // TestShardedUnknownProtocol pins the validation path: an unknown name must
-// fail before the demux starts and must still close the source reader.
+// fail before any replay starts and must still close the source reader.
 func TestShardedUnknownProtocol(t *testing.T) {
-	tr := trace.New(2, trace.L(0, 0))
-	if _, err := RunSharded("BOGUS", tr.Reader(), mem.MustGeometry(16), 4); err == nil {
+	src := &closeTracker{Reader: trace.New(2, trace.L(0, 0)).Reader()}
+	if _, err := RunShardedContext(context.Background(), "BOGUS", src, mem.MustGeometry(16), 4); err == nil {
 		t.Fatal("expected an error for an unknown protocol")
+	}
+	if !src.closed {
+		t.Error("source reader left open after the validation error")
 	}
 }

@@ -834,7 +834,7 @@ func mergeFusedResults(a, b fusedResult) fusedResult {
 
 // FusedShardedClassify runs the fused classification with the block space
 // partitioned across shards parallel fused classifiers, each driving its
-// own reader from open through a shard-native filter — no demux pump. The
+// own reader from open through a shard-native filter. The
 // partition is by the coarsest geometry's blocks: nested blocks never
 // straddle a coarse block, so the partition is valid at every level and
 // the merged counts equal the serial fused counts bit for bit. shards <= 1

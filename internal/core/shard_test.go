@@ -7,9 +7,13 @@ package core
 // pipeline a drop-in replacement for the hot path.
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -24,8 +28,14 @@ var shardCounts = []int{1, 2, 3, 8, 64}
 // {scheme x shards x geometry} sweep stays fast.
 func quickConf(n int) *quick.Config { return &quick.Config{MaxCount: n} }
 
+// openTrace returns an opener that hands every shard its own reader over
+// the in-memory trace.
+func openTrace(tr *trace.Trace) func(int) (trace.Reader, error) {
+	return func(int) (trace.Reader, error) { return tr.Reader(), nil }
+}
+
 // randomMixedTrace interleaves contended data references with sync and
-// phase references so the broadcast path of the demux is exercised.
+// phase references so the broadcast path of the shard filter is exercised.
 func randomMixedTrace(rng *rand.Rand, procs, n, addrRange int) *trace.Trace {
 	tr := trace.New(procs)
 	for i := 0; i < n; i++ {
@@ -68,7 +78,7 @@ func TestShardedClassifyMatchesSerial(t *testing.T) {
 				return false
 			}
 			for _, n := range shardCounts {
-				got, refs, err := ShardedClassify(tr.Reader(), g, n)
+				got, refs, err := ShardedClassifyContext(context.Background(), openTrace(tr), tr.Procs, g, n)
 				if err != nil {
 					t.Log(err)
 					return false
@@ -99,7 +109,7 @@ func TestShardedEggersMatchesSerial(t *testing.T) {
 				return false
 			}
 			for _, n := range shardCounts {
-				got, refs, err := ShardedClassifyEggers(tr.Reader(), g, n)
+				got, refs, err := ShardedClassifyEggersContext(context.Background(), openTrace(tr), tr.Procs, g, n)
 				if err != nil {
 					t.Log(err)
 					return false
@@ -130,7 +140,7 @@ func TestShardedTorrellasMatchesSerial(t *testing.T) {
 				return false
 			}
 			for _, n := range shardCounts {
-				got, refs, err := ShardedClassifyTorrellas(tr.Reader(), g, n)
+				got, refs, err := ShardedClassifyTorrellasContext(context.Background(), openTrace(tr), tr.Procs, g, n)
 				if err != nil {
 					t.Log(err)
 					return false
@@ -188,7 +198,7 @@ func TestShardedCoversAllFiveClasses(t *testing.T) {
 		t.Fatalf("trace does not cover all five classes: %+v", want)
 	}
 	for _, n := range shardCounts {
-		got, gotRefs, err := ShardedClassify(tr.Reader(), g, n)
+		got, gotRefs, err := ShardedClassifyContext(context.Background(), openTrace(tr), tr.Procs, g, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +233,7 @@ func TestArbitraryBlockPartitionSumsToWhole(t *testing.T) {
 			counts Counts
 			refs   uint64
 		}
-		got, err := RunSharded(tr.Reader(), n, key,
+		got, err := RunShardedOpen(context.Background(), openTrace(tr), n, key,
 			func(int) *Classifier { return NewClassifier(procs, g) },
 			func(c *Classifier) res { return res{c.Finish(), c.DataRefs()} },
 			func(a, b res) res { return res{a.counts.Add(b.counts), a.refs + b.refs} })
@@ -245,14 +255,14 @@ func TestArbitraryBlockPartitionSumsToWhole(t *testing.T) {
 
 // TestShardedMergeInvariants checks the paper's accounting identities on
 // the MERGED counts — essential = cold + PTS, essential <= total — and
-// that the demux conserves the data-reference denominator exactly.
+// that the shard filter conserves the data-reference denominator exactly.
 func TestShardedMergeInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomMixedTrace(rng, 6, 700, 56)
 		g := mem.MustGeometry(32)
 		for _, n := range shardCounts {
-			counts, refs, err := ShardedClassify(tr.Reader(), g, n)
+			counts, refs, err := ShardedClassifyContext(context.Background(), openTrace(tr), tr.Procs, g, n)
 			if err != nil {
 				t.Log(err)
 				return false
@@ -267,7 +277,7 @@ func TestShardedMergeInvariants(t *testing.T) {
 				return false
 			}
 			if refs != tr.DataRefs() {
-				t.Logf("shards=%d: demux lost data refs: %d of %d", n, refs, tr.DataRefs())
+				t.Logf("shards=%d: sharding lost data refs: %d of %d", n, refs, tr.DataRefs())
 				return false
 			}
 		}
@@ -276,4 +286,134 @@ func TestShardedMergeInvariants(t *testing.T) {
 	if err := quick.Check(f, quickConf(15)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// endlessTrace generates data references forever (plus an acquire every
+// 256 references) until its reader is closed: a shard reading it only
+// stops through cancellation.
+func endlessTrace() trace.Reader {
+	return trace.Generate(2, func(e *trace.Emitter) {
+		for i := 0; ; i++ {
+			e.Load(i%2, mem.Addr(i%4096))
+			if i%256 == 255 {
+				e.Acquire(0, 1<<20)
+			}
+		}
+	})
+}
+
+// refCount is the consumer of the RunShardedOpen teardown tests.
+type refCount struct{ n uint64 }
+
+func (c *refCount) Ref(trace.Ref) { c.n++ }
+
+// runCounting drives open through RunShardedOpen with counting consumers.
+func runCounting(ctx context.Context, open func(int) (trace.Reader, error), shards int) (uint64, error) {
+	return RunShardedOpen(ctx, open, shards, trace.BlockShard(mem.MustGeometry(64), shards),
+		func(int) *refCount { return &refCount{} },
+		func(c *refCount) uint64 { return c.n },
+		func(a, b uint64) uint64 { return a + b })
+}
+
+// waitForGoroutines polls until the goroutine count drops back to at most
+// base, tolerating scheduler lag.
+func waitForGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if n := runtime.NumGoroutine(); n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d > %d\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRunShardedOpenFailureCancelsSiblings: one shard's stream fails while
+// its siblings read endless generators. The failure must cancel the
+// siblings (otherwise the run never returns), come back as the run's
+// error, and leave no generator or shard goroutine behind.
+func TestRunShardedOpenFailureCancelsSiblings(t *testing.T) {
+	base := runtime.NumGoroutine()
+	streamErr := errors.New("backing store exploded")
+	for iter := 0; iter < 10; iter++ {
+		const shards = 4
+		failing := iter % shards
+		open := func(i int) (trace.Reader, error) {
+			if i == failing {
+				return &failAfterReader{n: 300, err: streamErr}, nil
+			}
+			return endlessTrace(), nil
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := runCounting(context.Background(), open, shards)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, streamErr) {
+				t.Fatalf("iter %d: err = %v, want the failing shard's error", iter, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iter %d: a shard failure did not cancel its siblings", iter)
+		}
+	}
+	waitForGoroutines(t, base)
+}
+
+// TestRunShardedOpenErrorPriority pins the error order: the caller's
+// context error beats a real shard failure, and a shard's own failure or
+// stopped stream beats the cancellation its siblings observe. The siblings
+// read endless generators, so they end only through that cancellation.
+func TestRunShardedOpenErrorPriority(t *testing.T) {
+	realErr := errors.New("disk on fire")
+	for _, own := range []error{realErr, trace.ErrStopped} {
+		open := func(i int) (trace.Reader, error) {
+			if i == 2 {
+				return &failAfterReader{n: 10, err: own}, nil
+			}
+			return endlessTrace(), nil
+		}
+		if _, err := runCounting(context.Background(), open, 4); !errors.Is(err, own) {
+			t.Errorf("shard error %v lost to its siblings' cancellation: got %v", own, err)
+		}
+	}
+
+	// A canceled caller context wins over a real failure.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelling := func(i int) (trace.Reader, error) {
+		if i == 3 {
+			cancel()
+		}
+		return &failAfterReader{n: 10, err: realErr}, nil
+	}
+	if _, err := runCounting(ctx, cancelling, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("caller cancellation lost to a shard failure: %v", err)
+	}
+}
+
+// TestRunShardedOpenCancelNoLeak cancels runs over endless generators at
+// randomized points: every run must return the context error and every
+// generator and shard goroutine must exit.
+func TestRunShardedOpenCancelNoLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 10; iter++ {
+		for _, shards := range []int{1, 3, 8} {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(rng.Intn(3000))*time.Microsecond)
+			open := func(int) (trace.Reader, error) { return endlessTrace(), nil }
+			_, err := runCounting(ctx, open, shards)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("iter %d shards=%d: err = %v, want the context error", iter, shards, err)
+			}
+		}
+	}
+	waitForGoroutines(t, base)
 }

@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/coherence"
 	"repro/internal/mem"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -152,17 +155,19 @@ func TestRunProtocolsMatchesIndividualRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := mem.MustGeometry(64)
-	results, err := runProtocols(w, g, []string{"MIN", "OTF", "MAX"})
+	protos := []string{"MIN", "OTF", "MAX"}
+	open := func(int) (trace.Reader, error) { return w.Reader(), nil }
+	results, err := coherence.RunProtocolsShardedOpen(context.Background(), open, w.Procs, g, protos, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := runProtocols(w, g, []string{"MIN", "OTF", "MAX"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range results {
-		if results[i] != again[i] {
-			t.Errorf("run %d differs: %+v vs %+v", i, results[i], again[i])
+	for i, name := range protos {
+		want, err := coherence.RunWith(name, w.Reader(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i] != want {
+			t.Errorf("%s: fused %+v, individual %+v", name, results[i], want)
 		}
 	}
 	if results[0].Misses > results[1].Misses || results[1].Misses > results[2].Misses {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/report"
-	"repro/internal/sweep"
 )
 
 // table1Paper holds the counts the paper's Table 1 reports, for side-by-side
@@ -35,8 +34,8 @@ type table1Cell struct {
 // and false-sharing misses under the three classifications, for the large
 // data sets at block sizes of 32 and 1024 bytes. With Quick, the small data
 // sets are used instead (and no paper reference column is available). Each
-// (workload, block) cell drives the three classifiers over one trace replay
-// on the sweep engine.
+// workload is one sweep cell: one replay (per shard) of its trace drives
+// the three fused classifiers at both block sizes.
 func Table1(o Options) error {
 	defer driverSpan("table1").End()
 	defaults := []string{"LU200", "MP3D10000"}
@@ -60,53 +59,31 @@ func Table1(o Options) error {
 	}
 
 	cache := o.traceCache()
-	var cells []table1Cell
-	var fails *sweep.Failures
-	if o.fused() {
-		// One fused sweep cell per workload: both block sizes and all three
-		// schemes off one pass (per shard) over the trace.
-		groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]table1Cell, error) {
-			w := ws[wi]
-			defer replaySpan(ctx, w.Name, "fused-tri", 0).End()
-			eff := o.shardsPerCell()
-			open, err := o.shardSource(ctx, cache, w.Name, core.CoarsestGeometry(geos), eff)
-			if err != nil {
-				return nil, err
-			}
-			tri, err := classifyAllFused(ctx, open, w.Procs, geos, eff)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]table1Cell, len(geos))
-			for bi := range geos {
-				out[bi] = table1Cell{ours: tri.ours[bi], eggers: tri.eggers[bi], torr: tri.torr[bi]}
-			}
-			return out, nil
-		})
+	// One fused sweep cell per workload: both block sizes and all three
+	// schemes off one pass (per shard) over the trace.
+	groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]table1Cell, error) {
+		w := ws[wi]
+		defer replaySpan(ctx, w.Name, "fused-tri", 0).End()
+		eff := o.shardsPerCell()
+		open, err := o.shardSource(ctx, cache, w.Name, core.CoarsestGeometry(geos), eff)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cells = flattenGroups(groups, len(blocks))
-		fails = expandGroupFailures(gFails, len(blocks))
-	} else {
-		var err error
-		cells, fails, err = mapCells(o, len(ws)*len(blocks), func(ctx context.Context, i int) (table1Cell, error) {
-			w, g := ws[i/len(blocks)], geos[i%len(blocks)]
-			defer replaySpan(ctx, w.Name, "tri", blocks[i%len(blocks)]).End()
-			r, err := cache.ReaderContext(ctx, w.Name)
-			if err != nil {
-				return table1Cell{}, err
-			}
-			tri, err := classifyAll(ctx, r, w.Procs, g, o.shardsPerCell())
-			if err != nil {
-				return table1Cell{}, err
-			}
-			return table1Cell{ours: tri.ours, eggers: tri.eggers, torr: tri.torr}, nil
-		})
+		tri, err := classifyAllFused(ctx, open, w.Procs, geos, eff)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		out := make([]table1Cell, len(geos))
+		for bi := range geos {
+			out[bi] = table1Cell{ours: tri.ours[bi], eggers: tri.eggers[bi], torr: tri.torr[bi]}
+		}
+		return out, nil
+	})
+	if err != nil {
+		return err
 	}
+	cells := flattenGroups(groups, len(blocks))
+	fails := expandGroupFailures(gFails, len(blocks))
 
 	fmt.Fprintln(o.Out, "Table 1: miss counts under the three classifications")
 	fmt.Fprintln(o.Out)

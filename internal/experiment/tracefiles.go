@@ -14,9 +14,9 @@ import (
 
 // TraceFileSet binds workload names to opened packed trace files (the
 // CLI's -trace-file NAME=PATH bindings). A bound workload replays from its
-// file instead of regenerating: serial and demux-sharded paths stream it
-// through the trace cache's out-of-core bypass, and the fused shard-native
-// paths open segment-skipping readers directly (see Options.shardSource).
+// file instead of regenerating: the block-sharded grids open
+// segment-skipping readers directly (see Options.shardSource), and every
+// other replay streams it through the trace cache's out-of-core bypass.
 // Close the set when the run is done.
 type TraceFileSet struct {
 	files map[string]*tracestore.File
@@ -124,9 +124,9 @@ func (s *TraceFileSet) Close() error {
 }
 
 // register wires every bound file into the cache as a stream-only source,
-// so all the cache-fed replay paths (serial cells, demux sharding, the
-// non-fused grids) read from the file with O(segment) resident memory
-// instead of materializing or regenerating. Safe on a nil set.
+// so all the cache-fed replay paths read from the file with O(segment)
+// resident memory instead of materializing or regenerating. Safe on a nil
+// set.
 func (s *TraceFileSet) register(c *sweep.TraceCache) {
 	if s == nil {
 		return
@@ -137,13 +137,12 @@ func (s *TraceFileSet) register(c *sweep.TraceCache) {
 	}
 }
 
-// shardSource resolves the per-shard opener the fused shard-native runners
-// need for one workload's trace. A file-backed workload opens
-// segment-skipping tracestore readers: each shard reads only the segments
-// whose per-segment index intersects its residue class of g's block
-// partition (plus segments carrying synchronization, which every shard
-// observes). Anything else adapts the cache's source factory — independent
-// equivalent readers, one per shard. g and shards must match the partition
+// shardSource resolves the per-shard opener the block-sharded runners need
+// for one workload's trace. A file-backed workload opens segment-skipping
+// tracestore readers: each shard reads only the segments whose per-segment
+// index intersects its residue class of g's block partition (plus segments
+// carrying synchronization, which every shard observes). Anything else
+// gets streamSource's full streams. g and shards must match the partition
 // key the runner uses (trace.BlockShard(g, shards)).
 func (o Options) shardSource(ctx context.Context, cache *sweep.TraceCache, name string, g mem.Geometry, shards int) (func(int) (trace.Reader, error), error) {
 	if f := o.TraceFiles.File(name); f != nil {
@@ -151,6 +150,14 @@ func (o Options) shardSource(ctx context.Context, cache *sweep.TraceCache, name 
 			return f.ShardReaderContext(ctx, shard, shards, g), nil
 		}, nil
 	}
+	return streamSource(ctx, cache, name)
+}
+
+// streamSource adapts the cache's source factory for one workload's trace
+// into a per-shard opener: independent, equivalent full-stream readers, one
+// per shard (a file-backed workload streams its file's plain Reader). It
+// suits any shard key, where shardSource suits only the block partition.
+func streamSource(ctx context.Context, cache *sweep.TraceCache, name string) (func(int) (trace.Reader, error), error) {
 	src, err := cache.SourceContext(ctx, name)
 	if err != nil {
 		return nil, err

@@ -17,7 +17,7 @@ import (
 
 // The differential robustness suite: every injector runs under every
 // parallelism/shard combination the CLI exposes, and the assertions are
-// always the same three — typed errors survive the trip up through demux,
+// always the same three — typed errors survive the trip up through shard,
 // sweep and driver layers (errors.Is/As), nothing deadlocks or leaks
 // goroutines, and partial output is never presented as complete.
 
@@ -30,15 +30,25 @@ var parShardGrid = []struct{ par, shards int }{
 // 4 processors alternating loads and stores over a shared region, with
 // enough references that every injector has room to fire mid-stream.
 func testTrace() *trace.Trace {
-	const procs, rounds = 4, 512
-	tr := trace.New(procs)
+	const rounds = 512
+	tr := trace.New(testProcs)
 	for i := 0; i < rounds; i++ {
-		for p := 0; p < procs; p++ {
+		for p := 0; p < testProcs; p++ {
 			addr := mem.Addr(4 * ((i + p) % 64))
 			tr.Append(trace.L(p, addr), trace.S(p, addr+256))
 		}
 	}
 	return tr
+}
+
+// testProcs is testTrace's processor count.
+const testProcs = 4
+
+// classify block-shard-classifies a testTrace-shaped stream: every shard
+// reads its own reader from mk.
+func classify(ctx context.Context, mk func() trace.Reader, shards int) (core.Counts, uint64, error) {
+	open := func(int) (trace.Reader, error) { return mk(), nil }
+	return core.ShardedClassifyContext(ctx, open, testProcs, geometry, shards)
 }
 
 var geometry = func() mem.Geometry {
@@ -74,7 +84,7 @@ func classifySweep(ctx context.Context, cells, par, shards int, keepGoing bool,
 	open func(cell int) trace.Reader) ([]core.Counts, error) {
 	return sweep.Run(ctx, cells, sweep.Options{Parallelism: par, KeepGoing: keepGoing},
 		func(ctx context.Context, i int) (core.Counts, error) {
-			counts, _, err := core.ShardedClassifyContext(ctx, open(i), geometry, shards)
+			counts, _, err := classify(ctx, func() trace.Reader { return open(i) }, shards)
 			return counts, err
 		})
 }
@@ -114,7 +124,7 @@ func TestErrorAfterPropagates(t *testing.T) {
 // zero — a partial grid is never passed off as complete.
 func TestKeepGoingIsolatesFailedCells(t *testing.T) {
 	tr := testTrace()
-	clean, _, err := core.ShardedClassifyContext(context.Background(), tr.Reader(), geometry, 1)
+	clean, _, err := classify(context.Background(), tr.Reader, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +170,7 @@ func TestKeepGoingIsolatesFailedCells(t *testing.T) {
 // classifier; the sweep engine must turn that panic into a typed CellError
 // carrying the stack instead of crashing the process. Shards stay at 1 so
 // the panic fires on the cell goroutine the sweep guards — panic isolation
-// is a sweep-cell contract, not a demux one.
+// is a sweep-cell contract, not a shard-runner one.
 func TestScrambledProcsPanicIsRecovered(t *testing.T) {
 	tr := testTrace()
 	for _, par := range []int{1, 8} {
@@ -222,8 +232,8 @@ func TestFlakyClosePropagates(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			_, _, err := core.ShardedClassifyContext(context.Background(),
-				fault.FlakyClose(tr.Reader(), nil), geometry, shards)
+			_, _, err := classify(context.Background(),
+				func() trace.Reader { return fault.FlakyClose(tr.Reader(), nil) }, shards)
 			if !errors.Is(err, fault.ErrInjected) {
 				t.Errorf("errors.Is(err, ErrInjected) = false for %v", err)
 			}
@@ -238,18 +248,19 @@ func TestFlakyClosePropagates(t *testing.T) {
 
 // TestCorruptAddrsIsDeterministicAndVisible: silent in-memory corruption
 // must change the classification (it would be a useless injector if it
-// didn't) and must change it identically at every shard count — the
-// corruption happens before the demux, so shard invariance still holds.
+// didn't) and must change it identically at every shard count — every
+// shard's stream is corrupted at the same references before the shard
+// filter, so shard invariance still holds.
 func TestCorruptAddrsIsDeterministicAndVisible(t *testing.T) {
 	tr := testTrace()
-	clean, _, err := core.ShardedClassifyContext(context.Background(), tr.Reader(), geometry, 1)
+	clean, _, err := classify(context.Background(), tr.Reader, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var corrupted []core.Counts
 	for _, shards := range []int{1, 8} {
-		counts, _, err := core.ShardedClassifyContext(context.Background(),
-			fault.CorruptAddrs(tr.Reader(), 100), geometry, shards)
+		counts, _, err := classify(context.Background(),
+			func() trace.Reader { return fault.CorruptAddrs(tr.Reader(), 100) }, shards)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

@@ -8,34 +8,35 @@ import (
 	"repro/internal/trace"
 )
 
-// ShardedClassify runs the finite-cache classification with the block
-// space partitioned across shards parallel classifiers and merges the
-// per-shard counts (including Repl) and data-reference counts.
+// ShardedClassifyContext runs the finite-cache classification with the
+// block space partitioned across shards parallel classifiers and merges
+// the per-shard counts (including Repl) and data-reference counts. Each
+// shard reads the trace of procs processors from open (see
+// core.RunShardedOpen).
 //
 // Unlike the infinite-cache classifiers, a finite cache couples blocks
 // through replacement: LRU and FIFO evictions are decided within a cache
 // set, so the partition must keep every block of a set on one shard. The
 // shard key is therefore setIndex(block) % shards rather than
 // block % shards — sets are independent under LRU and FIFO, so the merged
-// counts equal Classify's for every shard count. The Random policy keeps a
-// single xorshift stream across all sets, which no block partition can
-// reproduce; it (and shards <= 1) falls back to the serial Classify.
-func ShardedClassify(r trace.Reader, g mem.Geometry, cfg Config, shards int) (core.Counts, uint64, error) {
-	return ShardedClassifyContext(context.Background(), r, g, cfg, shards)
-}
-
-// ShardedClassifyContext is ShardedClassify with a cancellation context; see
-// core.RunShardedContext.
-func ShardedClassifyContext(ctx context.Context, r trace.Reader, g mem.Geometry, cfg Config, shards int) (core.Counts, uint64, error) {
+// counts equal Classify's for every shard count. That key is not a
+// trace.BlockShard residue, so open must yield the full stream for every
+// shard, never a block-partition reader that pre-drops other shards'
+// references. The Random policy keeps a single xorshift stream across all
+// sets, which no block partition can reproduce; it (and shards <= 1) runs
+// the serial Classify over open(0).
+func ShardedClassifyContext(ctx context.Context, open func(shard int) (trace.Reader, error), procs int, g mem.Geometry, cfg Config, shards int) (core.Counts, uint64, error) {
 	if shards <= 1 || cfg.Policy == Random {
+		r, err := open(0)
+		if err != nil {
+			return core.Counts{}, 0, err
+		}
 		return ClassifyContext(ctx, r, g, cfg)
 	}
-	procs := r.NumProcs()
 	classifiers := make([]*Classifier, shards)
 	for i := range classifiers {
 		c, err := NewClassifier(procs, g, cfg)
 		if err != nil {
-			trace.CloseReader(r) //nolint:errcheck // error path cleanup
 			return core.Counts{}, 0, err
 		}
 		classifiers[i] = c
@@ -52,7 +53,7 @@ func ShardedClassifyContext(ctx context.Context, r trace.Reader, g mem.Geometry,
 		counts core.Counts
 		refs   uint64
 	}
-	out, err := core.RunShardedContext(ctx, r, shards, key,
+	out, err := core.RunShardedOpen(ctx, open, shards, key,
 		func(i int) *Classifier { return classifiers[i] },
 		func(c *Classifier) res { return res{counts: c.Finish(), refs: c.DataRefs()} },
 		func(a, b res) res { return res{counts: a.counts.Add(b.counts), refs: a.refs + b.refs} })

@@ -1,9 +1,8 @@
 package trace
 
-// Microbenchmarks for the trace plumbing itself — batch draining, the
-// binary codec, and the demux fan-out — so `make bench` (which sweeps
-// ./...) tracks the streaming substrate separately from the classifiers
-// that consume it.
+// Microbenchmarks for the trace plumbing itself — batch draining and the
+// binary codec — so `make bench` (which sweeps ./...) tracks the streaming
+// substrate separately from the classifiers that consume it.
 
 import (
 	"bytes"

@@ -1,19 +1,16 @@
 package trace
 
-// Demux-stage tests: routing and broadcast rules, per-shard order,
-// data-reference conservation, and — the regression suite for the teardown
-// fix — leak-free shutdown on early shard close, demux Close, and source
-// errors.
+// ShardReader tests: the shard-native filter must reproduce, shard by
+// shard, exactly the block partition of its source — data references on
+// their key's shard, synchronization and phase references on every shard,
+// stream order preserved — on both the Next and NextBatch paths, and its
+// Close must propagate to the source.
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mem"
 )
@@ -34,7 +31,7 @@ func collectShard(t *testing.T, r Reader) []Ref {
 	}
 }
 
-func randomDemuxTrace(rng *rand.Rand, procs, n int) *Trace {
+func randomShardTrace(rng *rand.Rand, procs, n int) *Trace {
 	tr := New(procs)
 	for i := 0; i < n; i++ {
 		p := rng.Intn(procs)
@@ -54,62 +51,113 @@ func randomDemuxTrace(rng *rand.Rand, procs, n int) *Trace {
 	return tr
 }
 
-// TestDemuxRoutingAndOrder checks the demux contract directly: each data
-// reference lands exactly on its key's shard, every sync/phase reference
-// reaches all shards, and every shard stream is an order-preserving
-// subsequence of the source.
-func TestDemuxRoutingAndOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	tr := randomDemuxTrace(rng, 4, 3000)
-	g := mem.MustGeometry(16)
-	const n = 5
-	d := NewDemux(tr.Reader(), n, BlockShard(g, n))
-
-	shards := make([][]Ref, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			shards[i] = collectShard(t, d.Shard(i))
-		}(i)
-	}
-	wg.Wait()
-	defer d.Close()
-
-	// Expected per-shard subsequences, built serially.
-	want := make([][]Ref, n)
-	for _, ref := range tr.Refs {
+// demuxRef is the serial reference partition: each data reference goes to
+// shard key(ref), each synchronization and phase reference to every shard,
+// in stream order.
+func demuxRef(refs []Ref, n int, key ShardFunc) [][]Ref {
+	out := make([][]Ref, n)
+	for _, ref := range refs {
 		if ref.Kind.IsData() {
-			i := int(uint64(g.BlockOf(ref.Addr)) % n)
-			want[i] = append(want[i], ref)
+			i := key(ref)
+			out[i] = append(out[i], ref)
 			continue
 		}
-		for i := range want {
-			want[i] = append(want[i], ref)
+		for i := range out {
+			out[i] = append(out[i], ref)
 		}
 	}
+	return out
+}
+
+// TestShardReaderMatchesDemux is the shard-native differential: for every
+// shard, a ShardReader over an independent reader of the trace yields the
+// identical ref sequence to the serial reference partition.
+func TestShardReaderMatchesDemux(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := randomShardTrace(rng, 4, 3000)
+		g := mem.MustGeometry(16)
+		const n = 4
+		key := BlockShard(g, n)
+		want := demuxRef(tr.Refs, n, key)
+		for i := 0; i < n; i++ {
+			got := collectShard(t, NewShardReader(tr.Reader(), i, key))
+			if len(got) != len(want[i]) {
+				t.Fatalf("seed %d shard %d: ShardReader %d refs, reference %d", seed, i, len(got), len(want[i]))
+			}
+			for j := range want[i] {
+				if got[j] != want[i][j] {
+					t.Fatalf("seed %d shard %d ref %d: ShardReader %v, reference %v", seed, i, j, got[j], want[i][j])
+				}
+			}
+		}
+	}
+}
+
+// TestShardReaderRoutingAndOrder checks the routing contract directly:
+// each data reference lands exactly on its key's shard, every sync/phase
+// reference reaches all shards, and every shard stream is an
+// order-preserving subsequence of the source.
+func TestShardReaderRoutingAndOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	tr := randomShardTrace(rng, 4, 3000)
+	g := mem.MustGeometry(16)
+	const n = 5
+	key := BlockShard(g, n)
+	var sync int
+	for _, ref := range tr.Refs {
+		if !ref.Kind.IsData() {
+			sync++
+		}
+	}
+
 	var dataDelivered uint64
 	for i := 0; i < n; i++ {
-		if len(shards[i]) != len(want[i]) {
-			t.Fatalf("shard %d: %d refs, want %d", i, len(shards[i]), len(want[i]))
+		sr := NewShardReader(tr.Reader(), i, key)
+		if sr.NumProcs() != tr.Procs {
+			t.Fatalf("shard %d: NumProcs %d, want %d", i, sr.NumProcs(), tr.Procs)
 		}
-		for j := range want[i] {
-			if shards[i][j] != want[i][j] {
-				t.Fatalf("shard %d ref %d: got %v, want %v", i, j, shards[i][j], want[i][j])
+		got := collectShard(t, sr)
+		pos, gotSync := 0, 0
+		for j, ref := range got {
+			for pos < len(tr.Refs) && tr.Refs[pos] != ref {
+				pos++
 			}
-		}
-		for _, ref := range shards[i] {
-			if ref.Kind.IsData() {
-				dataDelivered++
+			if pos == len(tr.Refs) {
+				t.Fatalf("shard %d ref %d (%v) is out of stream order", i, j, ref)
 			}
+			pos++
+			if !ref.Kind.IsData() {
+				gotSync++
+				continue
+			}
+			if k := key(ref); k != i {
+				t.Fatalf("shard %d ref %d: data ref for shard %d", i, j, k)
+			}
+			dataDelivered++
 		}
-		if d.Shard(i).NumProcs() != tr.Procs {
-			t.Fatalf("shard %d: NumProcs %d, want %d", i, d.Shard(i).NumProcs(), tr.Procs)
+		if gotSync != sync {
+			t.Fatalf("shard %d: %d sync/phase refs, want all %d", i, gotSync, sync)
 		}
 	}
 	if dataDelivered != tr.DataRefs() {
 		t.Fatalf("data refs not conserved: delivered %d, trace has %d", dataDelivered, tr.DataRefs())
+	}
+}
+
+// TestShardReaderSingleShardIdentity: a 1-shard filter must reproduce the
+// source stream exactly (data and sync refs alike).
+func TestShardReaderSingleShardIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tr := randomShardTrace(rng, 3, 1500)
+	got := collectShard(t, NewShardReader(tr.Reader(), 0, func(Ref) int { return 0 }))
+	if len(got) != tr.Len() {
+		t.Fatalf("got %d refs, want %d", len(got), tr.Len())
+	}
+	for i := range got {
+		if got[i] != tr.Refs[i] {
+			t.Fatalf("ref %d: got %v, want %v", i, got[i], tr.Refs[i])
+		}
 	}
 }
 
@@ -135,216 +183,146 @@ func (r *errAfterReader) Close() error {
 	return nil
 }
 
-// TestDemuxErrorPropagation: a source error must reach every shard (after
-// its buffered prefix) and the source must be closed.
-func TestDemuxErrorPropagation(t *testing.T) {
+// TestShardReaderErrorPropagation: a source error must reach every shard's
+// reader after its kept prefix, on both the Next and NextBatch paths, and
+// closing the shard reader must close the source.
+func TestShardReaderErrorPropagation(t *testing.T) {
 	srcErr := errors.New("backing store exploded")
-	src := &errAfterReader{n: 2000, err: srcErr}
 	const n = 3
-	g := mem.MustGeometry(8)
-	d := NewDemux(src, n, BlockShard(g, n))
-
-	var wg sync.WaitGroup
-	errs := make([]error, n)
+	key := BlockShard(mem.MustGeometry(8), n)
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for {
-				_, err := d.Shard(i).Next()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	// Close waits for the pump goroutine, ordering its CloseReader call
-	// before the src.closed check below.
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, err := range errs {
-		if !errors.Is(err, srcErr) {
-			t.Errorf("shard %d: got %v, want the source error", i, err)
-		}
-	}
-	if !src.closed {
-		t.Error("source reader not closed after error")
-	}
-}
-
-// waitForGoroutines polls until the goroutine count drops back to at most
-// base, tolerating scheduler lag.
-func waitForGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: %d > %d\n%s",
-				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestDemuxEarlyShardCloseNoLeak is the regression test for the teardown
-// fix: closing one shard mid-stream must neither stall the pump nor leak
-// it, and the remaining shards must still drain to EOF with their full
-// contents.
-func TestDemuxEarlyShardCloseNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	for iter := 0; iter < 20; iter++ {
-		rng := rand.New(rand.NewSource(int64(iter)))
-		tr := randomDemuxTrace(rng, 4, 4000)
-		g := mem.MustGeometry(16)
-		const n = 4
-		d := NewDemux(tr.Reader(), n, BlockShard(g, n))
-
-		// Read a few refs from shard 0, then abandon it via CloseReader —
-		// the path trace.Drive takes when a consumer's shard errors.
-		s0 := d.Shard(0)
-		for j := 0; j < 3; j++ {
-			if _, err := s0.Next(); err != nil {
-				break
-			}
-		}
-		if err := CloseReader(s0); err != nil {
-			t.Fatal(err)
-		}
-
-		var wg sync.WaitGroup
-		got := make([]int, n)
-		for i := 1; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				got[i] = len(collectShard(t, d.Shard(i)))
-			}(i)
-		}
-		wg.Wait()
-		for i := 1; i < n; i++ {
-			wantLen := 0
-			for _, ref := range tr.Refs {
-				if !ref.Kind.IsData() || int(uint64(g.BlockOf(ref.Addr))%n) == i {
-					wantLen++
-				}
-			}
-			if got[i] != wantLen {
-				t.Fatalf("iter %d shard %d: %d refs after peer close, want %d", iter, i, got[i], wantLen)
-			}
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitForGoroutines(t, base)
-}
-
-// TestDemuxCloseMidStreamNoLeak: Close while every shard is still being
-// pumped must stop the pump, close the source, and fail pending reads with
-// ErrStopped.
-func TestDemuxCloseMidStreamNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	for iter := 0; iter < 20; iter++ {
-		src := &errAfterReader{n: 1 << 20, err: io.EOF}
-		const n = 3
-		g := mem.MustGeometry(8)
-		d := NewDemux(src, n, BlockShard(g, n))
-
-		// Consume a little so the pump is mid-flight, then tear down.
-		if _, err := d.Shard(0).Next(); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
+		for _, batched := range []bool{false, true} {
+			src := &errAfterReader{n: 2000, err: srcErr}
+			sr := NewShardReader(src, i, key)
+			kept := 0
 			var err error
+			buf := make([]Ref, 100)
 			for err == nil {
-				_, err = d.Shard(i).Next()
+				if batched {
+					var cnt int
+					cnt, err = sr.NextBatch(buf)
+					kept += cnt
+				} else if _, err = sr.Next(); err == nil {
+					kept++
+				}
 			}
-			if !errors.Is(err, ErrStopped) && err != io.EOF {
-				t.Fatalf("iter %d shard %d: got %v, want ErrStopped or EOF", iter, i, err)
+			if !errors.Is(err, srcErr) {
+				t.Errorf("shard %d batched %v: got %v, want the source error", i, batched, err)
 			}
-		}
-		if !src.closed {
-			t.Fatalf("iter %d: source not closed after demux Close", iter)
-		}
-	}
-	waitForGoroutines(t, base)
-}
-
-// TestDemuxAllShardsClosedStopsPump: abandoning every shard must let the
-// pump finish (it keeps draining the source but delivers nowhere) without
-// an explicit demux Close.
-func TestDemuxAllShardsClosedStopsPump(t *testing.T) {
-	base := runtime.NumGoroutine()
-	for iter := 0; iter < 10; iter++ {
-		rng := rand.New(rand.NewSource(int64(iter)))
-		tr := randomDemuxTrace(rng, 4, 2000)
-		g := mem.MustGeometry(16)
-		const n = 4
-		d := NewDemux(tr.Reader(), n, BlockShard(g, n))
-		for i := 0; i < n; i++ {
-			if err := CloseReader(d.Shard(i)); err != nil {
+			// Addresses 1..2000 at 2 words per block: 1000 blocks, split
+			// evenly enough that every shard keeps a prefix.
+			if kept == 0 {
+				t.Errorf("shard %d batched %v: no refs before the error", i, batched)
+			}
+			if err := CloseReader(sr); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitForGoroutines(t, base)
-}
-
-// TestDemuxSingleShardIdentity: a 1-shard demux must reproduce the source
-// stream exactly (data and sync refs alike).
-func TestDemuxSingleShardIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tr := randomDemuxTrace(rng, 3, 1500)
-	d := NewDemux(tr.Reader(), 1, func(Ref) int { return 0 })
-	defer d.Close()
-	got := collectShard(t, d.Shard(0))
-	if len(got) != tr.Len() {
-		t.Fatalf("got %d refs, want %d", len(got), tr.Len())
-	}
-	for i := range got {
-		if got[i] != tr.Refs[i] {
-			t.Fatalf("ref %d: got %v, want %v", i, got[i], tr.Refs[i])
+			if !src.closed {
+				t.Errorf("shard %d batched %v: source reader not closed", i, batched)
+			}
 		}
 	}
 }
 
-// TestDemuxBadKey: a ShardFunc result out of range must surface as an
-// error on the shards, not a panic or a hang.
-func TestDemuxBadKey(t *testing.T) {
+// TestShardReaderBatchMatchesNext: the NextBatch path must produce the same
+// subsequence as the Next path, for both batched and unbatched sources, at
+// awkward buffer sizes.
+func TestShardReaderBatchMatchesNext(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tr := randomShardTrace(rng, 4, 2500)
+	g := mem.MustGeometry(8)
+	const n = 3
+	key := BlockShard(g, n)
+
+	for shard := 0; shard < n; shard++ {
+		want := collectShard(t, NewShardReader(tr.Reader(), shard, key))
+		for _, bufSize := range []int{1, 7, driveBatch, 5000} {
+			for _, batched := range []bool{true, false} {
+				var src Reader = tr.Reader()
+				if !batched {
+					src = unbatchedReader{src}
+				}
+				sr := NewShardReader(src, shard, key)
+				var got []Ref
+				buf := make([]Ref, bufSize)
+				for {
+					cnt, err := sr.NextBatch(buf)
+					got = append(got, buf[:cnt]...)
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("shard %d buf %d batched %v: %d refs, want %d",
+						shard, bufSize, batched, len(got), len(want))
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("shard %d buf %d batched %v ref %d: got %v, want %v",
+							shard, bufSize, batched, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// unbatchedReader hides a source's NextBatch to force the per-ref path.
+type unbatchedReader struct{ r Reader }
+
+func (u unbatchedReader) NumProcs() int      { return u.r.NumProcs() }
+func (u unbatchedReader) Next() (Ref, error) { return u.r.Next() }
+
+// TestShardReaderZeroBuf: a zero-length NextBatch buffer returns (0, nil)
+// without consuming the source.
+func TestShardReaderZeroBuf(t *testing.T) {
 	tr := New(2, L(0, 0), L(1, 1))
-	d := NewDemux(tr.Reader(), 2, func(Ref) int { return 99 })
-	defer d.Close()
+	sr := NewShardReader(tr.Reader(), 0, func(Ref) int { return 0 })
+	if n, err := sr.NextBatch(nil); n != 0 || err != nil {
+		t.Fatalf("NextBatch(nil) = %d, %v; want 0, nil", n, err)
+	}
+	if got := collectShard(t, sr); len(got) != 2 {
+		t.Fatalf("stream consumed by empty NextBatch: %d refs left, want 2", len(got))
+	}
+}
+
+// TestShardReaderCloseAndErrors: Close reaches the source, a source error
+// surfaces, and the constructor rejects bad arguments.
+func TestShardReaderCloseAndErrors(t *testing.T) {
+	src := &errAfterReader{n: 10, err: io.EOF}
+	sr := NewShardReader(src, 0, func(Ref) int { return 0 })
+	if sr.NumProcs() != src.NumProcs() {
+		t.Fatalf("NumProcs = %d, want %d", sr.NumProcs(), src.NumProcs())
+	}
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !src.closed {
+		t.Error("source not closed through ShardReader.Close")
+	}
+
+	srcErr := io.ErrUnexpectedEOF
+	sr = NewShardReader(&errAfterReader{n: 3, err: srcErr}, 1, func(Ref) int { return 0 })
 	var err error
 	for err == nil {
-		_, err = d.Shard(0).Next()
+		_, err = sr.Next()
 	}
-	if err == io.EOF {
-		t.Fatal("out-of-range shard key silently ignored")
+	if err != srcErr {
+		t.Fatalf("source error not propagated: got %v", err)
 	}
-	if want := fmt.Sprintf("%d shards", 2); !contains(err.Error(), want) {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		fn()
 	}
-	return false
+	mustPanic("nil key", func() { NewShardReader(New(1).Reader(), 0, nil) })
+	mustPanic("negative shard", func() { NewShardReader(New(1).Reader(), -1, func(Ref) int { return 0 }) })
 }

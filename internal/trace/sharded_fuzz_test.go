@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -9,8 +10,7 @@ import (
 )
 
 // FuzzShardedEquivalence lives in the external test package so it can drive
-// the classifiers in internal/core against the demux without an import
-// cycle. Arbitrary byte strings are decoded into mixed data/sync/phase
+// the sharded classifiers in internal/core without an import cycle. Arbitrary byte strings are decoded into mixed data/sync/phase
 // traces and the sharded pipeline is checked against the serial classifier
 // for all three classification schemes. The committed seed corpus under
 // testdata/fuzz/FuzzShardedEquivalence is pinned by TestFuzzSeedCorpora.
@@ -41,13 +41,15 @@ func FuzzShardedEquivalence(f *testing.F) {
 		}
 
 		shardGrid := []int{2, int(shardsRaw%9) + 1}
+		ctx := context.Background()
+		open := func(int) (trace.Reader, error) { return tr.Reader(), nil }
 
 		want, wantRefs, err := core.Classify(tr.Reader(), g)
 		if err != nil {
 			t.Fatalf("ours serial: %v", err)
 		}
 		for _, n := range shardGrid {
-			got, refs, err := core.ShardedClassify(tr.Reader(), g, n)
+			got, refs, err := core.ShardedClassifyContext(ctx, open, procs, g, n)
 			if err != nil {
 				t.Fatalf("ours shards=%d: %v", n, err)
 			}
@@ -60,18 +62,18 @@ func FuzzShardedEquivalence(f *testing.F) {
 		type scheme struct {
 			name    string
 			serial  func(trace.Reader, mem.Geometry) (core.SharingCounts, uint64, error)
-			sharded func(trace.Reader, mem.Geometry, int) (core.SharingCounts, uint64, error)
+			sharded func(context.Context, func(int) (trace.Reader, error), int, mem.Geometry, int) (core.SharingCounts, uint64, error)
 		}
 		for _, sc := range []scheme{
-			{"eggers", core.ClassifyEggers, core.ShardedClassifyEggers},
-			{"torrellas", core.ClassifyTorrellas, core.ShardedClassifyTorrellas},
+			{"eggers", core.ClassifyEggers, core.ShardedClassifyEggersContext},
+			{"torrellas", core.ClassifyTorrellas, core.ShardedClassifyTorrellasContext},
 		} {
 			want, wantRefs, err := sc.serial(tr.Reader(), g)
 			if err != nil {
 				t.Fatalf("%s serial: %v", sc.name, err)
 			}
 			for _, n := range shardGrid {
-				got, refs, err := sc.sharded(tr.Reader(), g, n)
+				got, refs, err := sc.sharded(ctx, open, procs, g, n)
 				if err != nil {
 					t.Fatalf("%s shards=%d: %v", sc.name, n, err)
 				}

@@ -2,14 +2,13 @@ package workload
 
 // Shard-native generation tests: for every workload, the per-shard streams
 // produced directly by the generator (Workload.ShardReader) must equal the
-// streams a trace.Demux fans out of one central generation — same routing,
-// same broadcast order for sync/phase references — and abandoning a
-// shard-native stream early must not leak the generator goroutine.
+// serial block partition of one generation — same routing, same broadcast
+// order for sync/phase references — and abandoning a shard-native stream
+// early must not leak the generator goroutine.
 
 import (
 	"io"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -32,8 +31,26 @@ func drain(t *testing.T, r trace.Reader) []trace.Ref {
 	}
 }
 
-// TestShardReaderMatchesDemux: shard-native generation equals the demux
-// pump's fan-out for every small workload.
+// demuxRef is the serial reference partition: each data reference goes to
+// shard key(ref), each synchronization and phase reference to every shard,
+// in stream order.
+func demuxRef(refs []trace.Ref, n int, key trace.ShardFunc) [][]trace.Ref {
+	out := make([][]trace.Ref, n)
+	for _, ref := range refs {
+		if ref.Kind.IsData() {
+			i := key(ref)
+			out[i] = append(out[i], ref)
+			continue
+		}
+		for i := range out {
+			out[i] = append(out[i], ref)
+		}
+	}
+	return out
+}
+
+// TestShardReaderMatchesDemux: shard-native generation equals the serial
+// block partition of one generation for every small workload.
 func TestShardReaderMatchesDemux(t *testing.T) {
 	g := mem.MustGeometry(64)
 	const shards = 4
@@ -43,29 +60,15 @@ func TestShardReaderMatchesDemux(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := trace.NewDemux(w.Reader(), shards, key)
-		want := make([][]trace.Ref, shards)
-		var wg sync.WaitGroup
-		for i := 0; i < shards; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				want[i] = drain(t, d.Shard(i))
-			}(i)
-		}
-		wg.Wait()
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-
+		want := demuxRef(drain(t, w.Reader()), shards, key)
 		for i := 0; i < shards; i++ {
 			got := drain(t, w.ShardReader(i, key))
 			if len(got) != len(want[i]) {
-				t.Fatalf("%s shard %d: native %d refs, demux %d", name, i, len(got), len(want[i]))
+				t.Fatalf("%s shard %d: native %d refs, reference %d", name, i, len(got), len(want[i]))
 			}
 			for j := range want[i] {
 				if got[j] != want[i][j] {
-					t.Fatalf("%s shard %d ref %d: native %v, demux %v", name, i, j, got[j], want[i][j])
+					t.Fatalf("%s shard %d ref %d: native %v, reference %v", name, i, j, got[j], want[i][j])
 				}
 			}
 		}

@@ -75,10 +75,9 @@ func (w *Workload) Reader() trace.Reader {
 // ShardReader returns a streaming reader over shard's subsequence of a
 // fresh generation of the trace: data references the key routes to shard,
 // plus every synchronization and phase reference, in stream order. Because
-// generation is deterministic, N ShardReaders reproduce exactly the N
-// streams a trace.Demux would fan out of one generation — this is the
-// shard-native generation path of the fused replay engine, with no central
-// demux pump. Close it if it is not drained.
+// generation is deterministic, N ShardReaders reproduce exactly the block
+// partition of one generation, each from its own generator goroutine.
+// Close it if it is not drained.
 func (w *Workload) ShardReader(shard int, key trace.ShardFunc) trace.Reader {
 	return trace.NewShardReader(w.Reader(), shard, key)
 }
