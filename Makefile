@@ -143,7 +143,7 @@ bench-compare:
 	fi; \
 	rm -f "$$new"
 
-# The CI perf gate: run the profile-guided harness and fail (exit != 0 with
+# The CI perf gate: run the benchmark harness and fail (exit != 0 with
 # a regression table) when any workload is slower than the committed
 # baseline beyond BENCHTOL, a pinned path allocates per pass, or a baseline
 # workload went missing. The fresh BENCH_<host>_<date>.json lands in the

@@ -13,13 +13,13 @@ import (
 // benchArgs keeps CLI bench test runs fast; the structure assertions do
 // not depend on measurement quality.
 func benchArgs(extra ...string) []string {
-	args := []string{"bench", "-benchtime", "5ms", "-profiletime", "10ms", "-allocpasses", "1"}
+	args := []string{"bench", "-benchtime", "5ms", "-allocpasses", "1"}
 	return append(args, extra...)
 }
 
 // TestBenchWritesReport: the bench subcommand writes a schema-versioned
-// BENCH JSON with a per-phase breakdown for at least six workloads, and
-// the summary table reaches stdout.
+// BENCH JSON for at least six workloads, and the summary table reaches
+// stdout.
 func TestBenchWritesReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
 	var sb strings.Builder
@@ -32,11 +32,6 @@ func TestBenchWritesReport(t *testing.T) {
 	}
 	if len(rep.Workloads) < 6 {
 		t.Fatalf("report has %d workloads, want >= 6", len(rep.Workloads))
-	}
-	for _, w := range rep.Workloads {
-		if len(w.Phases) != len(perfbench.Phases) {
-			t.Errorf("%s: phase breakdown has %d phases, want %d", w.Name, len(w.Phases), len(perfbench.Phases))
-		}
 	}
 	out := sb.String()
 	for _, want := range []string{"classify/appendixA", "refs/s", "wrote "} {

@@ -22,7 +22,7 @@
 //	penalty    execution-time model of the schedules (miss penalties)
 //	hotspots   miss attribution by data structure (the §6 narrative)
 //	phases     miss classification over computation phases
-//	bench      profile-guided benchmark harness (BENCH_*.json + perf gate)
+//	bench      benchmark harness: allocs/pass and timing (BENCH_*.json + perf gate)
 //	regen      write every experiment's report into a directory
 //	selfcheck  verify the paper's structural identities on any trace
 //	classify   classify one workload or trace file at one block size
@@ -31,7 +31,7 @@
 //	load       seeded open-loop load generator against a running server
 //	trace      packed trace-store tooling: pack, info, cat
 //	tracegen   write a workload's trace to a file (v2 stream codec)
-//	traceinfo  summarize a trace file
+//	traceinfo  summarize a trace file (stream codec or packed)
 //
 // Run 'uselessmiss <subcommand> -h' for the flags of each subcommand.
 //

@@ -47,7 +47,7 @@ func addObsFlagsNamed(fs *flag.FlagSet, traceOutFlag string) *instruments {
 	fs.StringVar(&in.metricsPath, "metrics", "", "write the run-metrics JSON report to this file (with -metrics-interval: a JSONL snapshot stream)")
 	fs.DurationVar(&in.metricsInterval, "metrics-interval", 0, "stream metrics-delta snapshots as JSONL at this period, to the -metrics file or stderr")
 	fs.BoolVar(&in.progress, "progress", false, "render a live progress line on stderr")
-	fs.StringVar(&in.debugAddr, "debug-addr", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (e.g. :6060)")
+	fs.StringVar(&in.debugAddr, "debug-addr", "", "serve Prometheus /metrics, /healthz, /readyz, runtime /debug/vars and /debug/pprof on this address (e.g. :6060)")
 	fs.StringVar(&in.logLevel, "log", "warn", "slog level: debug, info, warn or error")
 	fs.StringVar(&in.traceOutPath, traceOutFlag, "", "record execution spans and write a Chrome trace_event JSON trace (load in Perfetto) to this file")
 	fs.StringVar(&in.spanLogPath, "span-log", "", "record execution spans and write them as compact JSONL to this file")

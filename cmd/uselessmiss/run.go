@@ -567,21 +567,16 @@ func cmdTraceinfo(ctx context.Context, args []string, out io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("traceinfo needs exactly one trace file argument")
 	}
-	f, err := os.Open(fs.Arg(0))
+	r, err := openTrace("", fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	dec, err := trace.NewDecoder(f)
-	if err != nil {
-		return err
-	}
-	s := trace.NewStats(dec.NumProcs(), true)
-	if err := trace.DriveContext(ctx, dec, s); err != nil {
+	s := trace.NewStats(r.NumProcs(), true)
+	if err := trace.DriveContext(ctx, r, s); err != nil {
 		return err
 	}
 	tb := report.NewTable("property", "value")
-	tb.Rowf("processors", dec.NumProcs())
+	tb.Rowf("processors", r.NumProcs())
 	tb.Rowf("loads", s.Loads)
 	tb.Rowf("stores", s.Stores)
 	tb.Rowf("acquires", s.Acquires)

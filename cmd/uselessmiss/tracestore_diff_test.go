@@ -126,6 +126,25 @@ func TestTraceCLIRoundtrip(t *testing.T) {
 	}
 }
 
+// TestTraceinfoPackedMatchesCodec: traceinfo sniffs the file format like
+// every -trace flag, so a packed trace and the codec encoding of the same
+// workload print the same table.
+func TestTraceinfoPackedMatchesCodec(t *testing.T) {
+	dir := t.TempDir()
+	packed := filepath.Join(dir, "LU32.umt")
+	v2 := filepath.Join(dir, "LU32.v2")
+	runOut(t, "trace", "pack", "-workload", "LU32", "-o", packed)
+	runOut(t, "tracegen", "-workload", "LU32", "-o", v2)
+	fromPacked := runOut(t, "traceinfo", packed)
+	fromCodec := runOut(t, "traceinfo", v2)
+	if fromPacked != fromCodec {
+		t.Fatalf("traceinfo differs between formats:\npacked:\n%s\ncodec:\n%s", fromPacked, fromCodec)
+	}
+	if !strings.Contains(fromPacked, "processors") {
+		t.Fatalf("traceinfo printed no table:\n%s", fromPacked)
+	}
+}
+
 // TestTraceFileFlagErrors covers the -trace-file flag's failure modes.
 func TestTraceFileFlagErrors(t *testing.T) {
 	var sb strings.Builder

@@ -5,24 +5,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// publishOnce guards the expvar registration: expvar.Publish panics on a
-// duplicate name, and tests start several debug servers per process.
-var publishOnce sync.Once
-
-// publishExpvar exposes the default registry's run report as one expvar
-// variable, so it appears in /debug/vars next to the runtime's memstats.
-func publishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("uselessmiss", expvar.Func(func() any {
-			return Default.Report()
-		}))
-	})
-}
 
 // ready gates /readyz. It starts true (a process that can serve HTTP can
 // also answer queries); long drivers may clear it during teardown so a
@@ -38,15 +23,15 @@ func SetReady(ok bool) { ready.Store(ok) }
 // -debug-addr flag. It serves:
 //
 //	/metrics          the default registry in Prometheus text format
-//	/metrics.json     the default registry's run report as JSON
 //	/healthz          liveness: always 200 while the server is up
 //	/readyz           readiness: 200, or 503 after SetReady(false)
-//	/debug/vars       expvar (includes the registry under "uselessmiss")
+//	/debug/vars       expvar: the runtime's own vars (memstats, cmdline)
 //	/debug/pprof/...  the full net/http/pprof suite
 //
 // so a long sweep that looks stuck can be inspected in flight: goroutine
 // dumps show where the pool is blocked, and successive /metrics scrapes
-// show whether cells are still finishing.
+// show whether cells are still finishing. /metrics is the registry's one
+// live exposure; the JSON run report is written by the -metrics flag.
 type DebugServer struct {
 	ln  net.Listener
 	srv *http.Server
@@ -58,7 +43,6 @@ type DebugServer struct {
 // serves it alone. Every handler reads the process-wide Default registry
 // and readiness state, so all mounts agree.
 func NewDebugMux() *http.ServeMux {
-	publishExpvar()
 	mux := http.NewServeMux()
 	registerDebugRoutes(mux)
 	return mux
@@ -85,10 +69,6 @@ func registerDebugRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		Default.WritePrometheus(w) //nolint:errcheck // best-effort response
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		Default.Report().WriteJSON(w) //nolint:errcheck // best-effort response
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -1,7 +1,7 @@
 // Package obs is the engine's observability layer: a process-wide metrics
 // registry of atomic counters, gauges and fixed-bucket histograms, a
 // deterministic JSON run report, a throttled live progress renderer, and an
-// opt-in HTTP introspection endpoint (expvar + pprof).
+// opt-in HTTP introspection endpoint (Prometheus /metrics + pprof).
 //
 // The design target is the replay hot path: instrumentation must cost at
 // most a few atomic adds per *batch* of references (never per reference)

@@ -15,8 +15,8 @@ import (
 )
 
 // handler builds the server's mux on top of the repo's debug/metrics
-// surface, so /metrics, /metrics.json, /healthz, /readyz, /debug/vars and
-// /debug/pprof ride along with the job API.
+// surface, so /metrics, /healthz, /readyz, /debug/vars and /debug/pprof
+// ride along with the job API.
 func (s *Server) handler() http.Handler {
 	mux := obs.NewDebugMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)

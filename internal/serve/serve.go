@@ -48,8 +48,8 @@ type Config struct {
 	// running at the deadline are force-canceled.
 	DrainTimeout time.Duration
 	// RetryMax is the number of retries after a transient fault (so
-	// RetryMax+1 attempts in total); RetryBase is the backoff unit,
-	// doubled per attempt with seeded jitter.
+	// RetryMax+1 attempts in total; zero means no retries); RetryBase is
+	// the backoff unit, doubled per attempt with seeded jitter.
 	RetryMax  int
 	RetryBase time.Duration
 	// BreakerThreshold consecutive breaker-relevant failures open a
@@ -98,8 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryMax < 0 {
 		c.RetryMax = 0
-	} else if c.RetryMax == 0 {
-		c.RetryMax = 2
 	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = 50 * time.Millisecond

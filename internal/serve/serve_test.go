@@ -433,8 +433,17 @@ func TestBreakerQuarantinesOverHTTP(t *testing.T) {
 	})
 	spec := `{"experiment":"classify","workload":"LU32","tenant":"victim"}`
 	for i := 0; i < 2; i++ {
-		if res := submit(t, ts.base, spec); res.status != http.StatusBadGateway {
+		res := submit(t, ts.base, spec)
+		if res.status != http.StatusBadGateway {
 			t.Fatalf("fault job %d: %d/%s", i, res.status, res.code)
+		}
+		// RetryMax 0 means one attempt and no retries.
+		var env errorEnvelope
+		if err := json.Unmarshal(res.body, &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Error.Attempts != 1 {
+			t.Errorf("fault job %d: attempts = %d, want 1 (RetryMax 0)", i, env.Error.Attempts)
 		}
 	}
 	res := submit(t, ts.base, spec)
