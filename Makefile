@@ -101,7 +101,7 @@ cover:
 		|| { echo "FAIL: coverage $$total% is below the $(COVERFLOOR)% floor"; exit 1; }
 
 # Short fuzzing smoke over every target, starting from the committed seed
-# corpora under internal/trace/testdata/fuzz.
+# corpora under internal/*/testdata/fuzz.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzParseText -fuzztime $(FUZZTIME)
@@ -109,6 +109,8 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzShardedEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFusedEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracestore -run '^$$' -fuzz FuzzTracestoreRoundtrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLifetimesOracle -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/coherence -run '^$$' -fuzz FuzzSharedResolver -fuzztime $(FUZZTIME)
 
 # All benchmarks across every package: the root paper-artifact benchmarks,
 # the perfbench harness workloads, and the internal/dense + internal/trace

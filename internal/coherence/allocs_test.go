@@ -43,3 +43,37 @@ func TestRDSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("RD steady state allocates %.1f allocs per pass, ceiling %.1f", got, ceiling)
 	}
 }
+
+// TestFusedGroupSteadyStateAllocs pins the fused group's hot path to zero
+// steady-state allocations: a warmed group of all 14 (block, schedule)
+// simulators of the §7 study, with the Resolver they share, re-fed the
+// same batches must not touch the heap.
+func TestFusedGroupSteadyStateAllocs(t *testing.T) {
+	geos := []mem.Geometry{mem.MustGeometry(64), mem.MustGeometry(1024)}
+	sims, err := ProtocolGroup(4, geos, Protocols)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sims) != 14 {
+		t.Fatalf("group holds %d simulators, want 14", len(sims))
+	}
+	m := newMultiSim(sims)
+	refs := rdAllocRefs(4, 64, geos[0])
+	for i := 0; i < len(refs); i += 4 {
+		if i%3 == 0 {
+			refs[i] = trace.R(int(refs[i].Proc), 1) // exercise the send-delayed flushes too
+		}
+	}
+	batches := [][]trace.Ref{refs[:1024], refs[1024:2048], refs[2048:]}
+	pass := func() {
+		for _, b := range batches {
+			m.RefBatch(b)
+		}
+	}
+	pass() // warm up: block tables, arenas, buffers, resolver scratch
+
+	const ceiling = 0.0
+	if got := testing.AllocsPerRun(10, pass); got > ceiling {
+		t.Fatalf("fused 14-simulator group allocates %.1f allocs per pass, ceiling %.1f", got, ceiling)
+	}
+}

@@ -56,7 +56,7 @@ func (r Result) MissRate() float64 { return core.Rate(r.Misses, r.DataRefs) }
 // Simulator consumes a trace and produces a Result. Implementations are
 // single-use: create one per run.
 type Simulator interface {
-	trace.Consumer
+	trace.BatchConsumer
 	// Finish flushes end-of-trace state and returns the result.
 	Finish() Result
 	// Name returns the paper's name for the schedule (e.g. "WBWI").
@@ -100,6 +100,7 @@ type base struct {
 	life  *core.Lifetimes
 
 	name          string
+	one           [1]trace.Ref // Ref's one-reference batch
 	dataRefs      uint64
 	misses        uint64
 	invalidations uint64
@@ -113,6 +114,17 @@ func newBase(name string, procs int, g mem.Geometry) base {
 
 // Name implements Simulator.
 func (b *base) Name() string { return b.name }
+
+// single wraps one reference as a batch, so Ref replays through RefBatch
+// like every other reference.
+func (b *base) single(r trace.Ref) []trace.Ref {
+	b.one[0] = r
+	return b.one[:]
+}
+
+// share makes the simulator's Lifetimes read word definitions from r, the
+// Resolver its fused group resolves once per batch.
+func (b *base) share(r *core.Resolver) { b.life.Share(r) }
 
 // MissCount returns the misses recorded so far. The timing model reads it
 // around each reference to attribute blocking cycles.

@@ -64,8 +64,8 @@ func (s *MAX) block(b mem.Block) *maxBlock {
 	return mb
 }
 
-// Ref implements trace.Consumer.
-func (s *MAX) Ref(r trace.Ref) {
+// ref replays the current reference.
+func (s *MAX) ref(r trace.Ref) {
 	p := int(r.Proc)
 	switch r.Kind {
 	case trace.Load, trace.Store:
@@ -75,10 +75,15 @@ func (s *MAX) Ref(r trace.Ref) {
 	}
 }
 
+// Ref implements trace.Consumer.
+func (s *MAX) Ref(r trace.Ref) { s.RefBatch(s.single(r)) }
+
 // RefBatch implements trace.BatchConsumer.
 func (s *MAX) RefBatch(refs []trace.Ref) {
+	s.life.Begin(refs)
 	for _, r := range refs {
-		s.Ref(r)
+		s.ref(r)
+		s.life.Next()
 	}
 }
 
@@ -108,7 +113,7 @@ func (s *MAX) access(p int, a mem.Addr, store bool) {
 			s.upgrades++
 		}
 		mb.owner = int8(p)
-		s.life.RecordStore(p, a)
+		s.life.RecordStore(a)
 		// Issue one credit per remote processor.
 		if mb.issued == 0 {
 			mb.issued = s.issuedSlab.Alloc()

@@ -43,8 +43,8 @@ func (s *MIN) block(b mem.Block) *minBlock {
 	return mb
 }
 
-// Ref implements trace.Consumer.
-func (s *MIN) Ref(r trace.Ref) {
+// ref replays the current reference.
+func (s *MIN) ref(r trace.Ref) {
 	if !r.Kind.IsData() {
 		return
 	}
@@ -77,14 +77,19 @@ func (s *MIN) Ref(r trace.Ref) {
 			s.invalidations += uint64(popcount(sharers))
 			pend[off] |= sharers
 		}
-		s.life.RecordStore(p, r.Addr)
+		s.life.RecordStore(r.Addr)
 	}
 }
 
+// Ref implements trace.Consumer.
+func (s *MIN) Ref(r trace.Ref) { s.RefBatch(s.single(r)) }
+
 // RefBatch implements trace.BatchConsumer.
 func (s *MIN) RefBatch(refs []trace.Ref) {
+	s.life.Begin(refs)
 	for _, r := range refs {
-		s.Ref(r)
+		s.ref(r)
+		s.life.Next()
 	}
 }
 

@@ -20,9 +20,9 @@ func NewOTF(procs int, g mem.Geometry) *OTF {
 	return &OTF{base: newBase("OTF", procs, g), present: dense.NewMap[uint64](0)}
 }
 
-// Ref implements trace.Consumer. Synchronization references are free under
-// OTF: there is nothing to delay.
-func (s *OTF) Ref(r trace.Ref) {
+// ref replays the current reference. Synchronization references are free
+// under OTF: there is nothing to delay.
+func (s *OTF) ref(r trace.Ref) {
 	if !r.Kind.IsData() {
 		return
 	}
@@ -48,14 +48,19 @@ func (s *OTF) Ref(r trace.Ref) {
 			forEachProc(others, func(q int) { s.invalidate(q, blk) })
 			*present = bit
 		}
-		s.life.RecordStore(p, r.Addr)
+		s.life.RecordStore(r.Addr)
 	}
 }
 
+// Ref implements trace.Consumer.
+func (s *OTF) Ref(r trace.Ref) { s.RefBatch(s.single(r)) }
+
 // RefBatch implements trace.BatchConsumer.
 func (s *OTF) RefBatch(refs []trace.Ref) {
+	s.life.Begin(refs)
 	for _, r := range refs {
-		s.Ref(r)
+		s.ref(r)
+		s.life.Next()
 	}
 }
 

@@ -42,8 +42,8 @@ func (s *RD) block(b mem.Block) *rdBlock {
 	return rb
 }
 
-// Ref implements trace.Consumer.
-func (s *RD) Ref(r trace.Ref) {
+// ref replays the current reference.
+func (s *RD) ref(r trace.Ref) {
 	p := int(r.Proc)
 	switch r.Kind {
 	case trace.Load:
@@ -55,10 +55,15 @@ func (s *RD) Ref(r trace.Ref) {
 	}
 }
 
+// Ref implements trace.Consumer.
+func (s *RD) Ref(r trace.Ref) { s.RefBatch(s.single(r)) }
+
 // RefBatch implements trace.BatchConsumer.
 func (s *RD) RefBatch(refs []trace.Ref) {
+	s.life.Begin(refs)
 	for _, r := range refs {
-		s.Ref(r)
+		s.ref(r)
+		s.life.Next()
 	}
 }
 
@@ -111,7 +116,7 @@ func (s *RD) store(p int, a mem.Addr) {
 			s.pendList[q] = append(s.pendList[q], blk)
 		})
 	}
-	s.life.RecordStore(p, a)
+	s.life.RecordStore(a)
 }
 
 func (s *RD) acquire(p int) {

@@ -47,8 +47,8 @@ func (s *SD) block(b mem.Block) *sdBlock {
 	return sb
 }
 
-// Ref implements trace.Consumer.
-func (s *SD) Ref(r trace.Ref) {
+// ref replays the current reference.
+func (s *SD) ref(r trace.Ref) {
 	p := int(r.Proc)
 	switch r.Kind {
 	case trace.Load:
@@ -60,10 +60,15 @@ func (s *SD) Ref(r trace.Ref) {
 	}
 }
 
+// Ref implements trace.Consumer.
+func (s *SD) Ref(r trace.Ref) { s.RefBatch(s.single(r)) }
+
 // RefBatch implements trace.BatchConsumer.
 func (s *SD) RefBatch(refs []trace.Ref) {
+	s.life.Begin(refs)
 	for _, r := range refs {
-		s.Ref(r)
+		s.ref(r)
+		s.life.Next()
 	}
 }
 
@@ -99,7 +104,7 @@ func (s *SD) store(p int, a mem.Addr) {
 		}
 	}
 	s.life.Access(p, a)
-	s.life.RecordStore(p, a)
+	s.life.RecordStore(a)
 }
 
 // release flushes the processor's store buffer: each buffered block's

@@ -42,8 +42,8 @@ func (s *SRD) block(b mem.Block) *srdBlock {
 	return sb
 }
 
-// Ref implements trace.Consumer.
-func (s *SRD) Ref(r trace.Ref) {
+// ref replays the current reference.
+func (s *SRD) ref(r trace.Ref) {
 	p := int(r.Proc)
 	switch r.Kind {
 	case trace.Load:
@@ -57,10 +57,15 @@ func (s *SRD) Ref(r trace.Ref) {
 	}
 }
 
+// Ref implements trace.Consumer.
+func (s *SRD) Ref(r trace.Ref) { s.RefBatch(s.single(r)) }
+
 // RefBatch implements trace.BatchConsumer.
 func (s *SRD) RefBatch(refs []trace.Ref) {
+	s.life.Begin(refs)
 	for _, r := range refs {
-		s.Ref(r)
+		s.ref(r)
+		s.life.Next()
 	}
 }
 
@@ -98,7 +103,7 @@ func (s *SRD) store(p int, a mem.Addr) {
 		}
 	}
 	s.life.Access(p, a)
-	s.life.RecordStore(p, a)
+	s.life.RecordStore(a)
 }
 
 // release flushes the store buffer: ownership is acquired per block and one

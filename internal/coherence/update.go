@@ -41,8 +41,8 @@ func NewWU(procs int, g mem.Geometry) *WU {
 	return &WU{base: newBase("WU", procs, g), present: dense.NewMap[uint64](0)}
 }
 
-// Ref implements trace.Consumer.
-func (s *WU) Ref(r trace.Ref) {
+// ref replays the current reference.
+func (s *WU) ref(r trace.Ref) {
 	if !r.Kind.IsData() {
 		return
 	}
@@ -59,14 +59,19 @@ func (s *WU) Ref(r trace.Ref) {
 	s.life.Access(p, r.Addr)
 	if r.Kind == trace.Store {
 		s.updates += uint64(popcount(*present &^ bit))
-		s.life.RecordStore(p, r.Addr)
+		s.life.RecordStore(r.Addr)
 	}
 }
 
+// Ref implements trace.Consumer.
+func (s *WU) Ref(r trace.Ref) { s.RefBatch(s.single(r)) }
+
 // RefBatch implements trace.BatchConsumer.
 func (s *WU) RefBatch(refs []trace.Ref) {
+	s.life.Begin(refs)
 	for _, r := range refs {
-		s.Ref(r)
+		s.ref(r)
+		s.life.Next()
 	}
 }
 
@@ -118,8 +123,8 @@ func (s *CU) block(b mem.Block) *cuBlock {
 	return cb
 }
 
-// Ref implements trace.Consumer.
-func (s *CU) Ref(r trace.Ref) {
+// ref replays the current reference.
+func (s *CU) ref(r trace.Ref) {
 	if !r.Kind.IsData() {
 		return
 	}
@@ -147,14 +152,19 @@ func (s *CU) Ref(r trace.Ref) {
 				s.invalidate(q, blk)
 			}
 		})
-		s.life.RecordStore(p, r.Addr)
+		s.life.RecordStore(r.Addr)
 	}
 }
 
+// Ref implements trace.Consumer.
+func (s *CU) Ref(r trace.Ref) { s.RefBatch(s.single(r)) }
+
 // RefBatch implements trace.BatchConsumer.
 func (s *CU) RefBatch(refs []trace.Ref) {
+	s.life.Begin(refs)
 	for _, r := range refs {
-		s.Ref(r)
+		s.ref(r)
+		s.life.Next()
 	}
 }
 

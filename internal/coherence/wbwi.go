@@ -109,8 +109,8 @@ func (s *WBWI) block(b mem.Block) *wbwiBlock {
 	return wb
 }
 
-// Ref implements trace.Consumer.
-func (s *WBWI) Ref(r trace.Ref) {
+// ref replays the current reference.
+func (s *WBWI) ref(r trace.Ref) {
 	if !r.Kind.IsData() {
 		return
 	}
@@ -165,13 +165,18 @@ func (s *WBWI) Ref(r trace.Ref) {
 			s.chargeBuffer(wb, pend, blk, newly)
 		}
 	}
-	s.life.RecordStore(p, r.Addr)
+	s.life.RecordStore(r.Addr)
 }
+
+// Ref implements trace.Consumer.
+func (s *WBWI) Ref(r trace.Ref) { s.RefBatch(s.single(r)) }
 
 // RefBatch implements trace.BatchConsumer.
 func (s *WBWI) RefBatch(refs []trace.Ref) {
+	s.life.Begin(refs)
 	for _, r := range refs {
-		s.Ref(r)
+		s.ref(r)
+		s.life.Next()
 	}
 }
 

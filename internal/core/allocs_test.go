@@ -57,6 +57,22 @@ func TestEggersSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestTorrellasSteadyStateAllocs does the same for the Torrellas
+// comparison classifier, whose per-word touched/valid state lives in dense
+// tables.
+func TestTorrellasSteadyStateAllocs(t *testing.T) {
+	g := mem.MustGeometry(64)
+	refs := allocTestRefs(4, 64, g)
+	c := NewTorrellas(4, g)
+	c.RefBatch(refs)
+
+	const ceiling = 0.0
+	got := testing.AllocsPerRun(10, func() { c.RefBatch(refs) })
+	if got > ceiling {
+		t.Fatalf("Torrellas steady state allocates %.1f allocs per pass, ceiling %.1f", got, ceiling)
+	}
+}
+
 // TestFusedSteadyStateAllocs pins the fused multi-geometry classifier pass
 // to zero steady-state allocations: once the hierarchical state exists for
 // every fine block, folding references into all the levels must not touch

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dense"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // Lifetimes is the engine behind the paper's Appendix A classification,
@@ -19,8 +20,9 @@ import (
 // Lifetimes tracks value communication independently of that schedule.
 //
 // Where the paper's Appendix A pseudocode keeps one communication (C) bit
-// per word and processor, this engine keeps the last definition of each
-// word (a logical store timestamp plus the writing processor) and, per
+// per word and processor, this engine reads the last definition of each
+// word (a logical store timestamp plus the writing processor) from a
+// Resolver, shared by every engine replaying the same stream, and keeps, per
 // processor and block, a communication base: the timestamp up to which the
 // kept (essential) misses have already delivered values. An access is a
 // communication event when it touches a word whose last definition is by
@@ -38,14 +40,19 @@ import (
 type Lifetimes struct {
 	geom   mem.Geometry
 	procs  int
-	words  int // geom.WordsPerBlock()
 	blocks *dense.Map[lifeBlock]
-	// slab holds each block's state vector in one arena cell:
-	// [0:words) per-word definitions, [words:words+procs) commBase,
-	// [words+procs:words+2*procs) openTick.
+	// slab holds each block's per-processor vectors in one arena cell:
+	// [0:procs) commBase, [procs:2*procs) openTick.
 	slab   *dense.Arena[uint64]
 	counts Counts
-	tick   uint64 // advances on every RecordStore
+
+	// defs resolves each reference's word definition and store tick; cur
+	// indexes the current reference of its batch. own marks a private
+	// resolver, which Begin resolves; a shared one is resolved by the
+	// fused group that owns it (see Share).
+	defs *Resolver
+	own  bool
+	cur  int
 
 	// OnClassify, if set, is called once per classified miss with the
 	// processor, the block, and the verdict, at the moment the miss's
@@ -131,8 +138,8 @@ func (s SharingClass) String() string {
 type wordDef = uint64
 
 // lifeBlock is one block's inline map entry: the per-processor bitmasks live
-// in the probe table itself, and the variable-size vectors (per-word
-// definitions, commBase, openTick) live in one arena cell reached via state.
+// in the probe table itself, and the per-processor vectors (commBase,
+// openTick) live in one arena cell reached via state.
 type lifeBlock struct {
 	open     uint64 // procs with an open lifetime
 	em       uint64 // procs whose open lifetime is already essential
@@ -141,42 +148,60 @@ type lifeBlock struct {
 	replNext uint64 // procs whose next lifetime follows a replacement (finite caches)
 	replOpen uint64 // procs whose open lifetime followed a replacement
 	modified bool   // some processor has stored to this block
-	state    uint32 // arena cell: defs | commBase | openTick
+	state    uint32 // arena cell: commBase | openTick
 }
 
-// defs returns the block's per-word last-definition vector.
-func (l *Lifetimes) defs(lb *lifeBlock) []wordDef {
-	return l.slab.Slice(lb.state)[:l.words]
+// NewLifetimes returns a Lifetimes engine for the given processor count and
+// block geometry, with a private Resolver: Begin resolves each batch before
+// the engine replays it. It panics if procs is out of (0, MaxProcs].
+func NewLifetimes(procs int, g mem.Geometry) *Lifetimes {
+	if procs <= 0 || procs > MaxProcs {
+		panic(fmt.Sprintf("core: processor count %d out of range (0,%d]", procs, MaxProcs))
+	}
+	return &Lifetimes{
+		geom:   g,
+		procs:  procs,
+		blocks: dense.NewMap[lifeBlock](0),
+		slab:   dense.NewArena[uint64](2 * procs),
+		defs:   NewResolver(),
+		own:    true,
+	}
 }
+
+// Share makes the engine read definitions from r instead of its private
+// resolver. The caller owns r: it resolves every batch once, before any
+// engine sharing r replays it (r.Resolve, then each engine's Begin and
+// per-reference Next). Call Share before the first batch.
+func (l *Lifetimes) Share(r *Resolver) {
+	l.defs, l.own = r, false
+}
+
+// Begin starts the replay of a batch: a private resolver resolves it here,
+// and the engine's cursor moves to the batch's first reference. The caller
+// then calls Next after each reference, including synchronization and
+// phase references, so the cursor tracks the reference being replayed.
+func (l *Lifetimes) Begin(refs []trace.Ref) {
+	if l.own {
+		l.defs.Resolve(refs)
+	}
+	l.cur = 0
+}
+
+// Next advances the cursor past the current reference.
+func (l *Lifetimes) Next() { l.cur++ }
 
 // commBase returns the block's per-processor communication bases:
 // commBase[p] is the tick up to which values have been delivered to p by
 // its kept (essential) misses.
 func (l *Lifetimes) commBase(lb *lifeBlock) []uint64 {
-	return l.slab.Slice(lb.state)[l.words : l.words+l.procs]
+	return l.slab.Slice(lb.state)[:l.procs]
 }
 
 // openTick returns the block's per-processor lifetime-open ticks: the store
 // tick at which p's current lifetime opened; the miss that opened it
 // fetched all values defined up to then.
 func (l *Lifetimes) openTick(lb *lifeBlock) []uint64 {
-	return l.slab.Slice(lb.state)[l.words+l.procs : l.words+2*l.procs]
-}
-
-// NewLifetimes returns a Lifetimes engine for the given processor count and
-// block geometry. It panics if procs is out of (0, MaxProcs].
-func NewLifetimes(procs int, g mem.Geometry) *Lifetimes {
-	if procs <= 0 || procs > MaxProcs {
-		panic(fmt.Sprintf("core: processor count %d out of range (0,%d]", procs, MaxProcs))
-	}
-	w := g.WordsPerBlock()
-	return &Lifetimes{
-		geom:   g,
-		procs:  procs,
-		words:  w,
-		blocks: dense.NewMap[lifeBlock](0),
-		slab:   dense.NewArena[uint64](w + 2*procs),
-	}
+	return l.slab.Slice(lb.state)[l.procs:]
 }
 
 // Geometry returns the block geometry the engine was built with.
@@ -194,9 +219,11 @@ func (l *Lifetimes) block(b mem.Block) *lifeBlock {
 }
 
 // OpenMiss records a miss by processor p at word address a under the
-// caller's schedule, opening a new lifetime. If p still has an open lifetime
-// on the block (an upgrade-style miss on a copy that was never explicitly
-// invalidated), the old lifetime is classified and closed first.
+// caller's schedule, opening a new lifetime at the current reference's
+// store tick (after the last batch, at the tick after the whole stream).
+// If p still has an open lifetime on the block (an upgrade-style miss on a
+// copy that was never explicitly invalidated), the old lifetime is
+// classified and closed first.
 func (l *Lifetimes) OpenMiss(p int, a mem.Addr) {
 	b := l.geom.BlockOf(a)
 	lb := l.block(b)
@@ -206,7 +233,7 @@ func (l *Lifetimes) OpenMiss(p int, a mem.Addr) {
 	}
 	lb.open |= bit
 	lb.em &^= bit
-	l.openTick(lb)[p] = l.tick
+	l.openTick(lb)[p] = l.defs.tickAt(l.cur)
 	lb.replOpen = lb.replOpen&^bit | lb.replNext&bit
 	lb.replNext &^= bit
 	if lb.fr&bit == 0 && lb.modified {
@@ -214,41 +241,50 @@ func (l *Lifetimes) OpenMiss(p int, a mem.Addr) {
 	}
 }
 
-// Access records a data access (load or store) by p to word a. If, during
-// p's open lifetime, the word's last definition is by another processor and
-// newer than everything p's essential misses have delivered, the lifetime
-// becomes essential: the miss that opened it is needed, and it delivered
-// every value defined up to its own open. Callers must have reported the
-// miss (OpenMiss) first when the access missed; accesses without an open
-// lifetime are ignored.
+// Access records the current reference, a data access (load or store) by p
+// to word a. If, during p's open lifetime, the word's last definition is by
+// another processor and newer than everything p's essential misses have
+// delivered, the lifetime becomes essential: the miss that opened it is
+// needed, and it delivered every value defined up to its own open. Callers
+// must have reported the miss (OpenMiss) first when the access missed;
+// accesses without an open lifetime are ignored. An undefined word or the
+// accessor's own definition returns before any block probe.
 func (l *Lifetimes) Access(p int, a mem.Addr) {
+	def := l.defs.def(l.cur)
+	if def == 0 || int(def&(MaxProcs-1)) == p {
+		return
+	}
 	lb := l.blocks.Get(uint64(l.geom.BlockOf(a)))
 	if lb == nil {
 		return
 	}
 	bit := uint64(1) << uint(p)
-	if lb.open&bit == 0 {
+	// Once the lifetime is essential its base already covers its open
+	// tick, so the transition cannot fire again.
+	if lb.open&bit == 0 || lb.em&bit != 0 {
 		return
 	}
-	def := l.defs(lb)[l.geom.OffsetOf(a)]
-	commBase := l.commBase(lb)
-	if def == 0 || int(def&(MaxProcs-1)) == p || def>>6 <= commBase[p] {
+	cell := l.slab.Slice(lb.state)
+	commBase := cell[:l.procs]
+	if def>>6 <= commBase[p] {
 		return
 	}
 	lb.em |= bit
-	if tick := l.openTick(lb)[p]; tick > commBase[p] {
+	if tick := cell[l.procs+p]; tick > commBase[p] {
 		commBase[p] = tick
 	}
 }
 
-// RecordStore records that p stored to word a, independently of when the
-// caller's schedule propagates the invalidation: the word's last definition
-// becomes this store.
-func (l *Lifetimes) RecordStore(p int, a mem.Addr) {
-	lb := l.block(l.geom.BlockOf(a))
-	lb.modified = true
-	l.tick++
-	l.defs(lb)[l.geom.OffsetOf(a)] = l.tick<<6 | uint64(p)
+// RecordStore records that the current reference, a store, defined word a,
+// independently of when the caller's schedule propagates the invalidation.
+// The Resolver carries the definition itself; the engine only marks the
+// block modified, which a word's first store is the only one that can
+// change (every later store finds the block marked by the first).
+func (l *Lifetimes) RecordStore(a mem.Addr) {
+	if l.defs.def(l.cur) != 0 {
+		return
+	}
+	l.block(l.geom.BlockOf(a)).modified = true
 }
 
 // CloseInvalidate ends p's lifetime on block b because the caller's schedule

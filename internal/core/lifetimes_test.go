@@ -2,13 +2,23 @@ package core
 
 // Direct tests of the Lifetimes engine API, exercised the way the protocol
 // simulators drive it (the Classifier-driven paths are covered by the
-// figure and property tests).
+// figure and property tests): each reference is a one-reference batch, and
+// the engine calls for it run between Begin and Next.
 
 import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
+
+// at replays r through l as its own batch, running the engine calls the
+// simulator makes for it in fn.
+func at(l *Lifetimes, r trace.Ref, fn func()) {
+	l.Begin([]trace.Ref{r})
+	fn()
+	l.Next()
+}
 
 func TestLifetimesAccessors(t *testing.T) {
 	g := mem.MustGeometry(8)
@@ -30,12 +40,15 @@ func TestLifetimesBasicCycle(t *testing.T) {
 
 	// P0 misses, stores; P1 misses, reads the new value; P0's store
 	// invalidates nothing (P1 came later).
-	l.OpenMiss(0, 0)
-	l.Access(0, 0)
-	l.RecordStore(0, 0)
-
-	l.OpenMiss(1, 0)
-	l.Access(1, 0) // touches P0's fresh value: essential
+	at(l, trace.S(0, 0), func() {
+		l.OpenMiss(0, 0)
+		l.Access(0, 0)
+		l.RecordStore(0)
+	})
+	at(l, trace.L(1, 0), func() {
+		l.OpenMiss(1, 0)
+		l.Access(1, 0) // touches P0's fresh value: essential
+	})
 
 	l.CloseInvalidate(0, g.BlockOf(0)) // P0's cold lifetime ends
 	if snap := l.Snapshot(); snap.PC != 1 {
@@ -64,9 +77,10 @@ func TestLifetimesCloseIdempotent(t *testing.T) {
 func TestLifetimesAccessWithoutLifetime(t *testing.T) {
 	g := mem.MustGeometry(8)
 	l := NewLifetimes(2, g)
-	l.RecordStore(0, 0)
-	l.Access(1, 0) // P1 has no open lifetime: ignored
-	l.Access(1, 9) // unknown block: ignored
+	at(l, trace.S(0, 0), func() { l.RecordStore(0) })
+	at(l, trace.L(1, 0), func() { l.Access(1, 0) }) // P1 has no open lifetime: ignored
+	at(l, trace.S(0, 9), func() { l.RecordStore(9) })
+	at(l, trace.L(1, 9), func() { l.Access(1, 99) }) // unknown block: ignored
 	if l.Finish() != (Counts{}) {
 		t.Error("stray accesses produced counts")
 	}
@@ -77,11 +91,15 @@ func TestLifetimesReplaceCycle(t *testing.T) {
 	l := NewLifetimes(1, g)
 	b := g.BlockOf(0)
 
-	l.OpenMiss(0, 0)
-	l.Access(0, 0)
+	at(l, trace.L(0, 0), func() {
+		l.OpenMiss(0, 0)
+		l.Access(0, 0)
+	})
 	l.CloseReplace(0, b) // evicted
-	l.OpenMiss(0, 0)     // refetch: a replacement miss
-	l.Access(0, 0)
+	at(l, trace.L(0, 0), func() {
+		l.OpenMiss(0, 0) // refetch: a replacement miss
+		l.Access(0, 0)
+	})
 	counts := l.Finish()
 	if want := (Counts{PC: 1, Repl: 1}); counts != want {
 		t.Errorf("counts = %+v, want %+v", counts, want)
@@ -92,11 +110,13 @@ func TestLifetimesUpgradeMissClassifiesOldLifetime(t *testing.T) {
 	g := mem.MustGeometry(8)
 	l := NewLifetimes(2, g)
 
-	l.OpenMiss(0, 0)
-	l.Access(0, 0)
+	at(l, trace.L(0, 0), func() {
+		l.OpenMiss(0, 0)
+		l.Access(0, 0)
+	})
 	// A second OpenMiss without an intervening close (the upgrade-miss
 	// path) must classify the first lifetime.
-	l.OpenMiss(0, 0)
+	at(l, trace.S(0, 0), func() { l.OpenMiss(0, 0) })
 	if snap := l.Snapshot(); snap.PC != 1 {
 		t.Errorf("old lifetime not classified: %+v", snap)
 	}
@@ -109,10 +129,14 @@ func TestLifetimesHookSeesEveryClose(t *testing.T) {
 	l.OnClassify = func(p int, b mem.Block, class Class) {
 		events = append(events, class)
 	}
-	l.OpenMiss(0, 0)
-	l.RecordStore(0, 0)
-	l.OpenMiss(1, 0)
-	l.Access(1, 0)
+	at(l, trace.S(0, 0), func() {
+		l.OpenMiss(0, 0)
+		l.RecordStore(0)
+	})
+	at(l, trace.L(1, 0), func() {
+		l.OpenMiss(1, 0)
+		l.Access(1, 0)
+	})
 	l.CloseInvalidate(1, g.BlockOf(0))
 	l.Finish()
 	if len(events) != 2 {

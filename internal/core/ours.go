@@ -21,6 +21,7 @@ type Classifier struct {
 	life     *Lifetimes
 	present  *dense.Map[uint64]
 	dataRefs uint64
+	one      [1]trace.Ref
 }
 
 // NewClassifier returns a Classifier for procs processors (at most MaxProcs)
@@ -34,18 +35,21 @@ func NewClassifier(procs int, g mem.Geometry) *Classifier {
 
 // Ref implements trace.Consumer.
 func (c *Classifier) Ref(r trace.Ref) {
-	switch r.Kind {
-	case trace.Load:
-		c.access(int(r.Proc), r.Addr, false)
-	case trace.Store:
-		c.access(int(r.Proc), r.Addr, true)
-	}
+	c.one[0] = r
+	c.RefBatch(c.one[:])
 }
 
 // RefBatch implements trace.BatchConsumer.
 func (c *Classifier) RefBatch(refs []trace.Ref) {
+	c.life.Begin(refs)
 	for _, r := range refs {
-		c.Ref(r)
+		switch r.Kind {
+		case trace.Load:
+			c.access(int(r.Proc), r.Addr, false)
+		case trace.Store:
+			c.access(int(r.Proc), r.Addr, true)
+		}
+		c.life.Next()
 	}
 }
 
@@ -78,7 +82,7 @@ func (c *Classifier) access(p int, a mem.Addr, store bool) {
 		c.life.CloseInvalidate(q, b)
 	}
 	*present = bit
-	c.life.RecordStore(p, a)
+	c.life.RecordStore(a)
 }
 
 // DataRefs returns the number of data references classified so far: the

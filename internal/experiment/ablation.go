@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/coherence"
@@ -9,37 +8,32 @@ import (
 	"repro/internal/mem"
 	"repro/internal/report"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // Ablations for the design choices DESIGN.md calls out: the competitive
 // -update threshold (how many remote updates a copy tolerates before
 // self-invalidating) and the finite invalidation buffer of the word
-// -invalidate protocols. Each (workload, variant) pair is one sweep cell
-// replaying the workload's cached trace.
+// -invalidate protocols. Each workload is one sweep cell: a single pass
+// (per shard) over its trace drives every variant's simulator at once.
 
-// runVariants executes one cell per (workload, variant) on the sweep
-// engine, where newSim builds variant j's simulator, and returns the
+// runVariants executes one fused cell per workload on the sweep engine,
+// where newSim builds variant j's simulator at geometry g, and returns the
 // results in (workload-major, variant) order.
-func runVariants(o Options, ws []*workload.Workload, variants int,
+func runVariants(o Options, ws []*workload.Workload, g mem.Geometry, variants int,
 	newSim func(w *workload.Workload, j int) (coherence.Simulator, error)) ([]coherence.Result, *sweep.Failures, error) {
-	cache := o.traceCache()
-	return mapCells(o, len(ws)*variants, func(ctx context.Context, i int) (coherence.Result, error) {
-		w, j := ws[i/variants], i%variants
-		defer replaySpan(ctx, w.Name, fmt.Sprintf("variant-%d", j), 0).End()
-		sim, err := newSim(w, j)
-		if err != nil {
-			return coherence.Result{}, err
+	return runFused(o, ws, g, variants, Options.shardSource, func(w *workload.Workload) func() ([]coherence.Simulator, error) {
+		return func() ([]coherence.Simulator, error) {
+			sims := make([]coherence.Simulator, variants)
+			for j := range sims {
+				sim, err := newSim(w, j)
+				if err != nil {
+					return nil, err
+				}
+				sims[j] = sim
+			}
+			return sims, nil
 		}
-		r, err := cache.ReaderContext(ctx, w.Name)
-		if err != nil {
-			return coherence.Result{}, err
-		}
-		if err := trace.DriveContext(ctx, r, sim); err != nil {
-			return coherence.Result{}, err
-		}
-		return sim.Finish(), nil
 	})
 }
 
@@ -67,7 +61,7 @@ func AblationCU(o Options, blockBytes int) error {
 	for _, threshold := range CompetitiveThresholds {
 		labels = append(labels, fmt.Sprintf("CU-%d", threshold))
 	}
-	cells, fails, err := runVariants(o, ws, len(labels),
+	cells, fails, err := runVariants(o, ws, g, len(labels),
 		func(w *workload.Workload, j int) (coherence.Simulator, error) {
 			switch j {
 			case 0:
@@ -139,7 +133,7 @@ func AblationSector(o Options, blockBytes int) error {
 			sectors = append(sectors, sector)
 		}
 	}
-	cells, fails, err := runVariants(o, ws, len(sectors),
+	cells, fails, err := runVariants(o, ws, g, len(sectors),
 		func(w *workload.Workload, j int) (coherence.Simulator, error) {
 			return coherence.NewSectored(w.Procs, g, sectors[j])
 		})
@@ -204,7 +198,7 @@ func AblationWBWI(o Options, blockBytes int) error {
 			labels[j] = fmt.Sprintf("%d words", entries)
 		}
 	}
-	cells, fails, err := runVariants(o, ws, len(BufferSizes),
+	cells, fails, err := runVariants(o, ws, g, len(BufferSizes),
 		func(w *workload.Workload, j int) (coherence.Simulator, error) {
 			if BufferSizes[j] == 0 {
 				return coherence.NewWBWI(w.Procs, g), nil

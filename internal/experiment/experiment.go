@@ -20,6 +20,7 @@ import (
 	"io"
 	"runtime"
 
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/obs/span"
@@ -364,6 +365,35 @@ func expandGroupFailures(gFails *sweep.Failures, per int) *sweep.Failures {
 		}
 	}
 	return out
+}
+
+// sourceFunc resolves one workload's per-shard opener for a block
+// partition by g: Options.shardSource, or Options.onePassSource for a
+// driver that reads each trace exactly once.
+type sourceFunc func(o Options, ctx context.Context, cache *sweep.TraceCache, name string, g mem.Geometry, shards int) (func(int) (trace.Reader, error), error)
+
+// runFused executes one fused sweep cell per workload for the coherence
+// drivers: a single pass (per shard) over the workload's trace, opened by
+// source and partitioned by key's blocks, drives the group of per
+// simulators newGroup(w) builds. It returns the results in (workload, group) order on
+// the flat per-simulator grid, with group failures expanded onto it.
+func runFused(o Options, ws []*workload.Workload, key mem.Geometry, per int, source sourceFunc,
+	newGroup func(w *workload.Workload) func() ([]coherence.Simulator, error)) ([]coherence.Result, *sweep.Failures, error) {
+	cache := o.traceCache()
+	groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]coherence.Result, error) {
+		w := ws[wi]
+		defer replaySpan(ctx, w.Name, "fused", key.BlockBytes()).End()
+		eff := o.shardsPerCell()
+		open, err := source(o, ctx, cache, w.Name, key, eff)
+		if err != nil {
+			return nil, err
+		}
+		return coherence.RunGroupShardedOpen(ctx, open, key, eff, newGroup(w))
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return flattenGroups(groups, per), expandGroupFailures(gFails, per), nil
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/coherence"
@@ -43,24 +42,15 @@ func Fig6(o Options, blockBytes int) error {
 		}
 	}
 
-	cache := o.traceCache()
 	// One fused sweep cell per workload: a single pass (per shard) over
 	// the trace drives every protocol's simulator at once.
-	groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]coherence.Result, error) {
-		w := ws[wi]
-		defer replaySpan(ctx, w.Name, "fused-protocols", blockBytes).End()
-		eff := o.shardsPerCell()
-		open, err := o.shardSource(ctx, cache, w.Name, g, eff)
-		if err != nil {
-			return nil, err
-		}
-		return coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, g, protos, eff)
-	})
+	cells, fails, err := runFused(o, ws, g, len(protos), Options.shardSource,
+		func(w *workload.Workload) func() ([]coherence.Simulator, error) {
+			return coherence.ProtocolGroup(w.Procs, []mem.Geometry{g}, protos)
+		})
 	if err != nil {
 		return err
 	}
-	cells := flattenGroups(groups, len(protos))
-	fails := expandGroupFailures(gFails, len(protos))
 
 	fmt.Fprintf(o.Out, "Figure 6 (B=%d bytes): effect of invalidation scheduling on the miss rate\n", blockBytes)
 	for wi, w := range ws {

@@ -1,10 +1,10 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/report"
 	"repro/internal/workload"
@@ -21,9 +21,10 @@ var largeBlocks = []int{64, 1024}
 // sharing components are very large and the protocols stay far from the
 // essential rate; MAX is disastrous for LU.
 //
-// The full run streams on the order of a hundred million references per
-// protocol set; with Quick the small data sets are substituted. The
-// (workload, block, protocol) grid runs on the sweep engine.
+// The full run streams on the order of a hundred million references; with
+// Quick the small data sets are substituted. The grid runs on the sweep
+// engine, one fused cell per workload covering every (block, protocol)
+// pair.
 func Large(o Options) error {
 	defer driverSpan("large").End()
 	defaults := workload.LargeSet()
@@ -50,25 +51,12 @@ func Large(o Options) error {
 		}
 	}
 
-	cache := o.traceCache()
 	perBlock := len(protos)
 	perWorkload := len(largeBlocks) * perBlock
-	cells, fails, err := mapCells(o, len(ws)*perWorkload, func(ctx context.Context, i int) (coherence.Result, error) {
-		w := ws[i/perWorkload]
-		g := geos[i%perWorkload/perBlock]
-		proto := protos[i%perBlock]
-		defer replaySpan(ctx, w.Name, proto, largeBlocks[i%perWorkload/perBlock]).End()
-		eff := o.shardsPerCell()
-		open, err := o.shardSource(ctx, cache, w.Name, g, eff)
-		if err != nil {
-			return coherence.Result{}, err
-		}
-		res, err := coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, g, []string{proto}, eff)
-		if err != nil {
-			return coherence.Result{}, err
-		}
-		return res[0], nil
-	})
+	cells, fails, err := runFused(o, ws, core.CoarsestGeometry(geos), perWorkload, Options.onePassSource,
+		func(w *workload.Workload) func() ([]coherence.Simulator, error) {
+			return coherence.ProtocolGroup(w.Procs, geos, protos)
+		})
 	if err != nil {
 		return err
 	}

@@ -153,6 +153,22 @@ func (o Options) shardSource(ctx context.Context, cache *sweep.TraceCache, name 
 	return streamSource(ctx, cache, name)
 }
 
+// onePassSource is shardSource for a driver that reads the trace exactly
+// once: a file-backed workload still opens segment-skipping readers, but
+// anything else resolves through the cache's one-pass source — a resident
+// copy if one is cached, else fresh streams — and never triggers a
+// materialization.
+func (o Options) onePassSource(ctx context.Context, cache *sweep.TraceCache, name string, g mem.Geometry, shards int) (func(int) (trace.Reader, error), error) {
+	if o.TraceFiles.File(name) != nil {
+		return o.shardSource(ctx, cache, name, g, shards)
+	}
+	src, err := cache.OnePassSourceContext(ctx, name)
+	if err != nil {
+		return nil, err
+	}
+	return func(int) (trace.Reader, error) { return src() }, nil
+}
+
 // streamSource adapts the cache's source factory for one workload's trace
 // into a per-shard opener: independent, equivalent full-stream readers, one
 // per shard (a file-backed workload streams its file's plain Reader). It

@@ -1,13 +1,12 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/report"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -36,8 +35,8 @@ func TrafficOf(res coherence.Result, g mem.Geometry) uint64 {
 // and the memory traffic per data reference. The paper's observations to
 // check: protocols with reduced miss rates also reduce miss traffic, the
 // traffic is very high for large blocks, and update-based protocols trade
-// fetch traffic for update traffic. The (workload, block, protocol) grid
-// runs on the sweep engine.
+// fetch traffic for update traffic. The grid runs on the sweep engine, one
+// fused cell per workload covering every (block, protocol) pair.
 func Traffic(o Options) error {
 	defer driverSpan("traffic").End()
 	names := o.workloads(workload.SmallSet())
@@ -60,27 +59,12 @@ func Traffic(o Options) error {
 		}
 	}
 
-	cache := o.traceCache()
 	perBlock := len(protos)
 	perWorkload := len(largeBlocks) * perBlock
-	cells, fails, err := mapCells(o, len(ws)*perWorkload, func(ctx context.Context, i int) (coherence.Result, error) {
-		w := ws[i/perWorkload]
-		g := geos[i%perWorkload/perBlock]
-		proto := protos[i%perBlock]
-		defer replaySpan(ctx, w.Name, proto, largeBlocks[i%perWorkload/perBlock]).End()
-		sim, err := coherence.New(proto, w.Procs, g)
-		if err != nil {
-			return coherence.Result{}, err
-		}
-		r, err := cache.ReaderContext(ctx, w.Name)
-		if err != nil {
-			return coherence.Result{}, err
-		}
-		if err := trace.DriveContext(ctx, r, sim); err != nil {
-			return coherence.Result{}, err
-		}
-		return sim.Finish(), nil
-	})
+	cells, fails, err := runFused(o, ws, core.CoarsestGeometry(geos), perWorkload, Options.shardSource,
+		func(w *workload.Workload) func() ([]coherence.Simulator, error) {
+			return coherence.ProtocolGroup(w.Procs, geos, protos)
+		})
 	if err != nil {
 		return err
 	}

@@ -21,6 +21,7 @@ type Classifier struct {
 	caches   []*Cache
 	present  *dense.Map[uint64] // procs whose cached copy is coherent
 	dataRefs uint64
+	one      [1]trace.Ref
 }
 
 // Config describes the per-processor cache.
@@ -53,12 +54,8 @@ func NewClassifier(procs int, g mem.Geometry, cfg Config) (*Classifier, error) {
 
 // Ref implements trace.Consumer.
 func (c *Classifier) Ref(r trace.Ref) {
-	switch r.Kind {
-	case trace.Load:
-		c.access(int(r.Proc), r.Addr, false)
-	case trace.Store:
-		c.access(int(r.Proc), r.Addr, true)
-	}
+	c.one[0] = r
+	c.RefBatch(c.one[:])
 }
 
 func (c *Classifier) access(p int, a mem.Addr, store bool) {
@@ -98,13 +95,20 @@ func (c *Classifier) access(p int, a mem.Addr, store bool) {
 		}
 	}
 	*pb = bit
-	c.life.RecordStore(p, a)
+	c.life.RecordStore(a)
 }
 
 // RefBatch implements trace.BatchConsumer.
 func (c *Classifier) RefBatch(refs []trace.Ref) {
+	c.life.Begin(refs)
 	for _, r := range refs {
-		c.Ref(r)
+		switch r.Kind {
+		case trace.Load:
+			c.access(int(r.Proc), r.Addr, false)
+		case trace.Store:
+			c.access(int(r.Proc), r.Addr, true)
+		}
+		c.life.Next()
 	}
 }
 

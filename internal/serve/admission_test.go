@@ -91,3 +91,23 @@ func TestAdmitterSnapshot(t *testing.T) {
 		t.Fatal("fully released tenant still in snapshot")
 	}
 }
+
+// TestSubmitPathSteadyStateAllocs pins the admission hot path — admit,
+// breaker gate, breaker verdict, release — at zero allocations per cycle:
+// load shedding must not generate garbage exactly when the server is
+// busiest.
+func TestSubmitPathSteadyStateAllocs(t *testing.T) {
+	p := NewSubmitPathBench()
+	var err error
+	got := testing.AllocsPerRun(100, func() {
+		if e := p.Cycle(); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > 0 {
+		t.Fatalf("submit path allocates %.1f allocs per cycle, ceiling 0", got)
+	}
+}

@@ -149,35 +149,7 @@ func (c *TraceCache) SourceContext(ctx context.Context, name string) (func() (tr
 	e, ok := c.entries[name]
 	if ok {
 		c.mu.Unlock()
-		select {
-		case <-e.ready:
-		default:
-			// The materialization is still in flight: this reader's load
-			// is being coalesced onto it (the singleflight path).
-			mCacheCoalesced.Inc()
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		if e.err != nil {
-			return nil, e.err
-		}
-		if e.stream != nil {
-			c.streamed.Add(1)
-			mCacheStreamed.Inc()
-			return e.stream, nil
-		}
-		if e.tr == nil {
-			c.streamed.Add(1)
-			mCacheStreamed.Inc()
-			return func() (trace.Reader, error) { return c.open(name) }, nil
-		}
-		c.hits.Add(1)
-		mCacheHits.Inc()
-		tr := e.tr
-		return func() (trace.Reader, error) { return tr.Reader(), nil }, nil
+		return c.settled(ctx, e, name)
 	}
 
 	e = &cacheEntry{ready: make(chan struct{})}
@@ -225,6 +197,59 @@ func (c *TraceCache) SourceContext(ctx context.Context, name string) (func() (tr
 	return func() (trace.Reader, error) { return cached.Reader(), nil }, nil
 }
 
+// OnePassSourceContext resolves the named trace for a driver that reads it
+// exactly once: the resident copy when one is cached (waiting for an
+// in-flight materialization), the registered stream, or else fresh streams
+// from the Opener. Unlike SourceContext it never materializes — collecting
+// a trace only to replay it once would hold it resident for nothing — so
+// an uncached name counts as one streamed access and stays uncached.
+func (c *TraceCache) OnePassSourceContext(ctx context.Context, name string) (func() (trace.Reader, error), error) {
+	c.mu.Lock()
+	e, ok := c.entries[name]
+	c.mu.Unlock()
+	if ok {
+		return c.settled(ctx, e, name)
+	}
+	c.streamed.Add(1)
+	mCacheStreamed.Inc()
+	return func() (trace.Reader, error) { return c.open(name) }, nil
+}
+
+// settled resolves an existing entry once its materialization settled:
+// its error, its dedicated stream, fresh streams for an over-budget trace,
+// or replays of the cached copy. It counts one streamed access or hit.
+func (c *TraceCache) settled(ctx context.Context, e *cacheEntry, name string) (func() (trace.Reader, error), error) {
+	select {
+	case <-e.ready:
+	default:
+		// The materialization is still in flight: this reader's load
+		// is being coalesced onto it (the singleflight path).
+		mCacheCoalesced.Inc()
+		select {
+		case <-e.ready:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	if e.err != nil {
+		return nil, e.err
+	}
+	if e.stream != nil {
+		c.streamed.Add(1)
+		mCacheStreamed.Inc()
+		return e.stream, nil
+	}
+	if e.tr == nil {
+		c.streamed.Add(1)
+		mCacheStreamed.Inc()
+		return func() (trace.Reader, error) { return c.open(name) }, nil
+	}
+	c.hits.Add(1)
+	mCacheHits.Inc()
+	tr := e.tr
+	return func() (trace.Reader, error) { return tr.Reader(), nil }, nil
+}
+
 // materialize drains up to maxRefs references of a fresh stream into
 // memory.
 func (c *TraceCache) materialize(ctx context.Context, name string, maxRefs int64) (*trace.Trace, bool, error) {
@@ -245,7 +270,8 @@ type CacheStats struct {
 	// Misses counts materialization attempts (one per distinct name).
 	Misses int64
 	// Streamed counts readers that fell back to a fresh generation
-	// because the trace did not fit the budget.
+	// because the trace did not fit the budget, or that read an uncached
+	// trace in one pass (OnePassSourceContext).
 	Streamed int64
 	// CachedRefs is the number of references currently held in memory.
 	CachedRefs int64

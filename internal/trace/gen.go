@@ -11,11 +11,17 @@ import (
 // to keep memory per stream negligible.
 const batchSize = 4096
 
+// genBuffers bounds the batch buffers one generated stream keeps in
+// circulation: the one being filled, the out channel's queue and the one
+// the reader is copying from.
+const genBuffers = 6
+
 // Emitter is handed to a generator function; the function calls its methods
 // to produce the trace. Emitter methods must only be called from the
 // generator goroutine.
 type Emitter struct {
 	out  chan []Ref
+	free chan []Ref // batches the reader has copied out, for reuse
 	stop chan struct{}
 	buf  []Ref
 }
@@ -52,9 +58,16 @@ func (e *Emitter) flush() {
 	}
 	select {
 	case e.out <- e.buf:
-		e.buf = make([]Ref, 0, batchSize)
 	case <-e.stop:
 		panic(stopPanic{})
+	}
+	// Refill from a batch the reader has finished with; a new one is
+	// allocated only while fewer than genBuffers are in circulation.
+	select {
+	case b := <-e.free:
+		e.buf = b[:0]
+	default:
+		e.buf = make([]Ref, 0, batchSize)
 	}
 }
 
@@ -64,6 +77,7 @@ func (e *Emitter) flush() {
 type GenReader struct {
 	procs  int
 	out    chan []Ref
+	free   chan []Ref
 	stop   chan struct{}
 	cur    []Ref
 	pos    int
@@ -77,10 +91,11 @@ func Generate(procs int, fn func(*Emitter)) *GenReader {
 	g := &GenReader{
 		procs: procs,
 		out:   make(chan []Ref, 4),
+		free:  make(chan []Ref, genBuffers),
 		stop:  make(chan struct{}),
 	}
 	go func() {
-		e := &Emitter{out: g.out, stop: g.stop, buf: make([]Ref, 0, batchSize)}
+		e := &Emitter{out: g.out, free: g.free, stop: g.stop, buf: make([]Ref, 0, batchSize)}
 		defer close(g.out)
 		defer func() {
 			if r := recover(); r != nil {
@@ -98,6 +113,19 @@ func Generate(procs int, fn func(*Emitter)) *GenReader {
 // NumProcs implements Reader.
 func (g *GenReader) NumProcs() int { return g.procs }
 
+// recycle hands the exhausted current batch back to the generator. Both
+// Next and NextBatch copy references out, so nothing aliases it any more.
+func (g *GenReader) recycle() {
+	if g.cur == nil {
+		return
+	}
+	select {
+	case g.free <- g.cur:
+	default:
+	}
+	g.cur = nil
+}
+
 // Next implements Reader.
 func (g *GenReader) Next() (Ref, error) {
 	if g.closed {
@@ -107,6 +135,7 @@ func (g *GenReader) Next() (Ref, error) {
 		if g.done {
 			return Ref{}, io.EOF
 		}
+		g.recycle()
 		batch, ok := <-g.out
 		if !ok {
 			g.done = true
@@ -129,6 +158,7 @@ func (g *GenReader) NextBatch(buf []Ref) (int, error) {
 		if g.done {
 			return 0, io.EOF
 		}
+		g.recycle()
 		batch, ok := <-g.out
 		if !ok {
 			g.done = true
